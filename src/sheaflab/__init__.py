@@ -32,7 +32,6 @@ from .model import (
     cross_entropy,
     cross_entropy_grad,
     encode,
-    evaluate,
     forward,
     gcn_forward,
     init_params,

@@ -18,14 +18,7 @@ from .data import load_dataset, save_dataset, synth_sbm
 from .errors import DataError, GuardError
 from .graph import homophily
 from .laplacian import normalise, sheaf_laplacian, spectrum
-from .model import (
-    BASELINE_KINDS,
-    SHEAF_KINDS,
-    TrainConfig,
-    build_sheaf_by_kind,
-    config_field_names,
-    train,
-)
+from .model import SHEAF_KINDS, TrainConfig, build_sheaf_by_kind, config_field_types, train
 from .sheaf import BuildDiagnostics, write_sheaf_csv
 
 EXIT_OK = 0
@@ -57,10 +50,15 @@ def load_train_config(path: str | None, overrides: dict) -> TrainConfig:
             raise UsageError(f"config file is not valid JSON: {path}") from exc
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
-        known = set(config_field_names())
-        for key in raw:
-            if key not in known:
+        types = config_field_types()
+        for key, value in raw.items():
+            if key not in types:
                 raise UsageError(f"unknown config key: {key}")
+            want = types[key]
+            # a float field takes a JSON integer too; JSON true/false is never a number
+            ok = isinstance(value, (int, float) if want is float else want)
+            if not ok or (isinstance(value, bool) and want is not bool):
+                raise UsageError(f"config key {key} must be {want.__name__}, got {value!r}")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
     cfg = TrainConfig(**values)
@@ -120,20 +118,13 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
     cfg = load_train_config(args.config, {"d": args.d, "seed": args.seed})
     kind = args.kind
-    if kind not in SHEAF_KINDS + BASELINE_KINDS:
-        raise UsageError(f"unknown model kind: {kind}")
     if args.split == "all":
         indices = list(range(len(ds.splits)))
     else:
         try:
-            index = int(args.split)
+            indices = [int(args.split)]
         except ValueError as exc:
             raise UsageError(f"bad split value: {args.split}") from exc
-        if not 0 <= index < len(ds.splits):
-            raise UsageError(
-                f"split out of range: {index} (dataset has {len(ds.splits)})"
-            )
-        indices = [index]
 
     accs = []
     for index in indices:

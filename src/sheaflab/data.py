@@ -192,6 +192,9 @@ def load_dataset(directory) -> Dataset:
     if ids != list(range(n)):
         raise DataError("node ids must be contiguous 0..n-1")
     features = np.array([r[1] for r in rows], dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite feature in nodes.csv at node {int(np.argmin(finite))}")
     labels = np.array([r[2] for r in rows], dtype=np.int64)
 
     with open(os.path.join(directory, "edges.csv"), newline="") as fh:

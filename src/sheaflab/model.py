@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .errors import GuardError
 from .graph import Graph
 from .laplacian import BlockLaplacian, apply, normalise, sheaf_laplacian
 from .sheaf import (
@@ -71,8 +72,8 @@ class TrainConfig:
             raise ValueError("dropout must lie in [0, 1)")
 
 
-def config_field_names() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(TrainConfig))
+def config_field_types() -> dict[str, type]:
+    return {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 @dataclass
@@ -273,20 +274,20 @@ def grad_arrays(grads: ParamGradients) -> list[np.ndarray]:
     return arrs
 
 
+def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    a = np.sqrt(1.0 / fan_in)
+    return rng.uniform(-a, a, size=shape)
+
+
 def init_params(
     cfg: TrainConfig, feature_dim: int, n_classes: int, rng: np.random.Generator
 ) -> ModelParams:
     """Seeded uniform(-a, a) with a = sqrt(1/fan_in), drawn in a fixed order."""
-
-    def u(shape, fan_in):
-        a = np.sqrt(1.0 / fan_in)
-        return rng.uniform(-a, a, size=shape)
-
     d, f = cfg.d, cfg.f
-    w_in = u((d * f, feature_dim), feature_dim)
+    w_in = _uniform(rng, (d * f, feature_dim), feature_dim)
     n_pairs = 1 if cfg.tied_weights else cfg.layers
-    layer_ws = [(u((d, d), d), u((f, f), f)) for _ in range(n_pairs)]
-    w_out = u((n_classes, d * f), d * f)
+    layer_ws = [(_uniform(rng, (d, d), d), _uniform(rng, (f, f), f)) for _ in range(n_pairs)]
+    w_out = _uniform(rng, (n_classes, d * f), d * f)
     return ModelParams(
         w_in=w_in,
         layers=layer_ws,
@@ -303,11 +304,6 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
         raise ValueError("empty mask")
     pred = np.argmax(logits[mask], axis=1)
     return float(np.mean(pred == np.asarray(labels)[mask]))
-
-
-def evaluate(params: ModelParams, lap: BlockLaplacian, dataset, mask) -> float:
-    logits, _ = forward(params, lap, dataset.graph.features)
-    return accuracy(logits, dataset.graph.labels, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -340,30 +336,96 @@ def _step(arrays, grads, cfg: TrainConfig, adam: _AdamState | None):
 # ---------------------------------------------------------------------------
 # GCN / MLP baselines
 
-def gcn_propagation_matrix(g: Graph) -> np.ndarray:
-    """Symmetric-normalised adjacency with self-loops, dense."""
-    a_hat = np.eye(g.n)
-    if g.num_edges:
-        us, vs = g.edges[:, 0], g.edges[:, 1]
-        a_hat[us, vs] = 1.0
-        a_hat[vs, us] = 1.0
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]
+def gcn_propagation_matrix(g: Graph) -> BlockLaplacian:
+    """GCN propagation D^{-1/2} (A + I) D^{-1/2} as a d = 1 block operator.
+
+    D is the degree matrix of A + I, so the diagonal holds 1/(deg+1) and
+    edge (u, v) holds 1/sqrt((deg_u+1)(deg_v+1)) (Kipf & Welling, 2017).
+    It is applied with `apply`, like every sheaf Laplacian.
+    """
+    scale = 1.0 / np.sqrt(np.bincount(g.edges.ravel(), minlength=g.n) + 1.0)
+    us, vs = g.edges[:, 0], g.edges[:, 1]
+    return BlockLaplacian(
+        n=g.n,
+        d=1,
+        edges=g.edges,
+        diag=(scale ** 2)[:, None, None],
+        off=(scale[us] * scale[vs])[:, None, None],
+    )
 
 
-def gcn_forward(g: Graph, h: np.ndarray, w: np.ndarray, activation: str = "relu") -> np.ndarray:
-    """One propagation layer act(P H W) with P the normalised adjacency."""
-    return _act(gcn_propagation_matrix(g) @ h @ w, activation)
+def gcn_forward(
+    prop: BlockLaplacian, h: np.ndarray, w: np.ndarray, activation: str = "relu"
+) -> np.ndarray:
+    """One propagation layer act(P H W), with P from gcn_propagation_matrix."""
+    return _act(apply(prop, h) @ w, activation)
 
 
 def mlp_forward(features: np.ndarray, weights, activation: str = "relu") -> np.ndarray:
     """Two-layer perceptron logits; no graph access."""
-    w1, w2 = weights
-    return _act(features @ w1, activation) @ w2
+    return MlpModel(weights, activation).forward(features)[0]
 
 
 # ---------------------------------------------------------------------------
-# training loops
+# models: parameter `arrays`, forward(features) -> (logits, cache), and
+# backward(cache, dlogits) -> gradients in the order of `arrays`
+
+class DiffusionModel:
+    """The sheaf diffusion classifier against one fixed Laplacian."""
+
+    def __init__(self, params: ModelParams, lap: BlockLaplacian):
+        self.params, self.lap = params, lap
+        self.arrays = param_arrays(params)
+
+    def forward(self, features):
+        return forward(self.params, self.lap, features)
+
+    def backward(self, cache, dlogits):
+        return grad_arrays(backward(cache, dlogits, self.lap))
+
+
+class MlpModel:
+    """Two-layer perceptron act(X W1) W2; `params` is the list [W1, W2]."""
+
+    def __init__(self, arrays, activation: str):
+        self.params = self.arrays = arrays
+        self.activation = activation
+
+    def forward(self, features):
+        w1, w2 = self.arrays
+        pre = features @ w1
+        hidden = _act(pre, self.activation)
+        return hidden @ w2, (features, pre, hidden)
+
+    def backward(self, cache, dlogits):
+        features, pre, hidden = cache
+        d_pre = (dlogits @ self.arrays[1].T) * _act_grad(pre, self.activation)
+        return [features.T @ d_pre, hidden.T @ dlogits]
+
+
+class GcnModel:
+    """Two GCN layers, act(P X W1) then P H W2; `params` is the list [W1, W2]."""
+
+    def __init__(self, prop: BlockLaplacian, arrays, activation: str):
+        self.prop = prop
+        self.params = self.arrays = arrays
+        self.activation = activation
+
+    def forward(self, features):
+        w1, w2 = self.arrays
+        pre = gcn_forward(self.prop, features, w1, "identity")
+        hidden = _act(pre, self.activation)
+        return gcn_forward(self.prop, hidden, w2, "identity"), (features, pre, hidden)
+
+    def backward(self, cache, dlogits):
+        features, pre, hidden = cache
+        d_out = apply(self.prop, dlogits)                       # P^T = P
+        d_pre = (d_out @ self.arrays[1].T) * _act_grad(pre, self.activation)
+        return [features.T @ apply(self.prop, d_pre), hidden.T @ d_out]
+
+
+# ---------------------------------------------------------------------------
+# training loop
 
 def build_sheaf_by_kind(g: Graph, kind: str, d: int, seed: int) -> Sheaf:
     if kind == "connection":
@@ -377,68 +439,49 @@ def build_sheaf_by_kind(g: Graph, kind: str, d: int, seed: int) -> Sheaf:
     raise ValueError(f"unknown sheaf kind {kind!r}")
 
 
-def _history_shell():
-    return {
-        "epoch": [],
-        "train_loss": [],
-        "train_acc": [],
-        "val_acc": [],
-        "test_acc": [],
-        "epoch_seconds": [],
-    }
-
-
-def _finalise_history(history, best_epoch, best_val, test_at_best, build_seconds):
-    history["best_epoch"] = best_epoch
-    history["best_val_acc"] = best_val
-    history["test_acc_at_best"] = test_at_best
-    history["sheaf_build_seconds"] = build_seconds
-    history["mean_epoch_seconds"] = float(np.mean(history["epoch_seconds"]))
-
-
 def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0):
     """Train one model on one split; returns (best-val params, history).
 
     `kind` selects the sheaf for the diffusion model (connection, trivial,
-    rand-edge, rand-node) or one of the baselines (gcn, mlp). Sheaf or
-    propagation-operator construction happens once, before the first epoch,
-    and is timed separately from the epochs.
+    rand-edge, rand-node) or one of the baselines (gcn, mlp). The sheaf
+    Laplacian or GCN operator is built once, before the first epoch, and
+    timed separately from the epochs. The params are a ModelParams for the
+    diffusion model and the list [W1, W2] for a baseline. A non-finite
+    training loss raises GuardError.
     """
     cfg.validate()
-    if kind in BASELINE_KINDS:
-        return _train_baseline(dataset, kind, cfg, split_index)
-    if kind not in SHEAF_KINDS:
+    g = dataset.graph
+    if kind not in SHEAF_KINDS + BASELINE_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    return _train_diffusion(dataset, kind, cfg, split_index)
-
-
-def _get_split(dataset, split_index):
+    if g.labels is None:
+        raise ValueError("dataset has no labels")
     if not 0 <= split_index < len(dataset.splits):
         raise ValueError(
             f"split out of range: {split_index} (dataset has {len(dataset.splits)})"
         )
-    return dataset.splits[split_index]
-
-
-def _train_diffusion(dataset, kind, cfg, split_index):
-    g = dataset.graph
-    labels = g.labels
-    split = _get_split(dataset, split_index)
+    split, labels = dataset.splits[split_index], g.labels
     n_classes = int(labels.max()) + 1
 
-    t0 = time.perf_counter()
-    sheaf = build_sheaf_by_kind(g, kind, cfg.d, cfg.seed)
-    lap = sheaf_laplacian(sheaf, g)
-    if cfg.use_normalised:
-        lap = normalise(lap)
-    build_seconds = time.perf_counter() - t0
-
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(cfg, g.feature_dim, n_classes, rng)
-    arrays = param_arrays(params)
-    adam = _AdamState(arrays) if cfg.optimiser == "adam" else None
+    t0 = time.perf_counter()
+    if kind in SHEAF_KINDS:
+        lap = sheaf_laplacian(build_sheaf_by_kind(g, kind, cfg.d, cfg.seed), g)
+        lap = normalise(lap) if cfg.use_normalised else lap
+        build_seconds = time.perf_counter() - t0
+        model = DiffusionModel(init_params(cfg, g.feature_dim, n_classes, rng), lap)
+    else:
+        prop = gcn_propagation_matrix(g) if kind == "gcn" else None
+        build_seconds = time.perf_counter() - t0
+        p, h = g.feature_dim, cfg.hidden
+        ws = [_uniform(rng, (p, h), p), _uniform(rng, (h, n_classes), h)]
+        if prop is None:
+            model = MlpModel(ws, cfg.activation)
+        else:
+            model = GcnModel(prop, ws, cfg.activation)
+    adam = _AdamState(model.arrays) if cfg.optimiser == "adam" else None
 
-    history = _history_shell()
+    keys = ("epoch", "train_loss", "train_acc", "val_acc", "test_acc", "epoch_seconds")
+    history = {key: [] for key in keys}
     best_val, best_epoch, best_arrays, since_best = -1.0, 0, None, 0
     for epoch in range(1, cfg.epochs + 1):
         tic = time.perf_counter()
@@ -446,104 +489,34 @@ def _train_diffusion(dataset, kind, cfg, split_index):
         if cfg.dropout > 0.0:
             keep = rng.random(feats.shape) >= cfg.dropout
             feats = feats * keep / (1.0 - cfg.dropout)
-        logits, cache = forward(params, lap, feats)
+        logits, cache = model.forward(feats)
         loss = cross_entropy(logits, labels, split.train)
-        grads = backward(cache, cross_entropy_grad(logits, labels, split.train), lap)
-        _step(arrays, grad_arrays(grads), cfg, adam)
+        if not np.isfinite(loss):
+            raise GuardError(f"{kind}: training loss is {loss} at epoch {epoch}")
+        grads = model.backward(cache, cross_entropy_grad(logits, labels, split.train))
+        _step(model.arrays, grads, cfg, adam)
 
-        eval_logits, _ = forward(params, lap, g.features)
-        tr = accuracy(eval_logits, labels, split.train)
-        va = accuracy(eval_logits, labels, split.val)
-        te = accuracy(eval_logits, labels, split.test)
-        history["epoch"].append(epoch)
-        history["train_loss"].append(loss)
-        history["train_acc"].append(tr)
-        history["val_acc"].append(va)
-        history["test_acc"].append(te)
-        history["epoch_seconds"].append(time.perf_counter() - tic)
+        eval_logits, _ = model.forward(g.features)
+        masks = (split.train, split.val, split.test)
+        tr, va, te = (accuracy(eval_logits, labels, m) for m in masks)
+        for key, value in zip(keys, (epoch, loss, tr, va, te, time.perf_counter() - tic)):
+            history[key].append(value)
 
         if va > best_val:
             best_val, best_epoch, since_best = va, epoch, 0
-            best_arrays = [a.copy() for a in arrays]
+            best_arrays = [a.copy() for a in model.arrays]
         else:
             since_best += 1
             if cfg.patience > 0 and since_best >= cfg.patience:
                 break
 
-    for a, b in zip(arrays, best_arrays):
+    for a, b in zip(model.arrays, best_arrays):
         a[...] = b
-    test_at_best = evaluate(params, lap, dataset, split.test)
-    _finalise_history(history, best_epoch, best_val, test_at_best, build_seconds)
-    return params, history
-
-
-def _train_baseline(dataset, kind, cfg, split_index):
-    g = dataset.graph
-    labels = g.labels
-    split = _get_split(dataset, split_index)
-    n_classes = int(labels.max()) + 1
-    x = g.features
-    p, h = g.feature_dim, cfg.hidden
-
-    t0 = time.perf_counter()
-    prop = gcn_propagation_matrix(g) if kind == "gcn" else None
-    build_seconds = time.perf_counter() - t0
-
-    rng = np.random.default_rng(cfg.seed)
-    w1 = rng.uniform(-np.sqrt(1 / p), np.sqrt(1 / p), size=(p, h))
-    w2 = rng.uniform(-np.sqrt(1 / h), np.sqrt(1 / h), size=(h, n_classes))
-    arrays = [w1, w2]
-    adam = _AdamState(arrays) if cfg.optimiser == "adam" else None
-
-    def fwd():
-        if kind == "gcn":
-            px = prop @ x
-            z1 = px @ w1
-            h1 = _act(z1, cfg.activation)
-            return (prop @ h1) @ w2, px, z1, h1
-        z1 = x @ w1
-        h1 = _act(z1, cfg.activation)
-        return h1 @ w2, x, z1, h1
-
-    history = _history_shell()
-    best_val, best_epoch, best_arrays, since_best = -1.0, 0, None, 0
-    for epoch in range(1, cfg.epochs + 1):
-        tic = time.perf_counter()
-        logits, inp, z1, h1 = fwd()
-        loss = cross_entropy(logits, labels, split.train)
-        dlogits = cross_entropy_grad(logits, labels, split.train)
-        if kind == "gcn":
-            dw2 = (prop @ h1).T @ dlogits
-            dh1 = prop @ dlogits @ w2.T
-        else:
-            dw2 = h1.T @ dlogits
-            dh1 = dlogits @ w2.T
-        dz1 = dh1 * _act_grad(z1, cfg.activation)
-        dw1 = inp.T @ dz1
-        _step(arrays, [dw1, dw2], cfg, adam)
-
-        logits, _, _, _ = fwd()
-        tr = accuracy(logits, labels, split.train)
-        va = accuracy(logits, labels, split.val)
-        te = accuracy(logits, labels, split.test)
-        history["epoch"].append(epoch)
-        history["train_loss"].append(loss)
-        history["train_acc"].append(tr)
-        history["val_acc"].append(va)
-        history["test_acc"].append(te)
-        history["epoch_seconds"].append(time.perf_counter() - tic)
-
-        if va > best_val:
-            best_val, best_epoch, since_best = va, epoch, 0
-            best_arrays = [a.copy() for a in arrays]
-        else:
-            since_best += 1
-            if cfg.patience > 0 and since_best >= cfg.patience:
-                break
-
-    for a, b in zip(arrays, best_arrays):
-        a[...] = b
-    logits, _, _, _ = fwd()
-    test_at_best = accuracy(logits, labels, split.test)
-    _finalise_history(history, best_epoch, best_val, test_at_best, build_seconds)
-    return arrays, history
+    history.update(
+        best_epoch=best_epoch,
+        best_val_acc=best_val,
+        test_acc_at_best=accuracy(model.forward(g.features)[0], labels, split.test),
+        sheaf_build_seconds=build_seconds,
+        mean_epoch_seconds=float(np.mean(history["epoch_seconds"])),
+    )
+    return model.params, history

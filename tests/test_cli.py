@@ -124,6 +124,32 @@ class TestTrain:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("d", "2"), ("lr", "0.1"), ("epochs", 2.5), ("tied_weights", 1), ("f", True)],
+    )
+    def test_config_value_of_wrong_type(self, dataset_dir, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main(["train", "--dataset", dataset_dir, "--config", str(cfg)])
+        assert code == 1
+        assert f"config key {key} must be" in capsys.readouterr().err
+
+    def test_integer_accepted_for_float_key(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": 0, "epochs": 2, "patience": 0}))
+        code, records = run_cli(capsys, "train", "--dataset", dataset_dir, "--config", str(cfg))
+        assert code == 0
+        assert records[-1]["summary"]
+
+    def test_non_finite_loss_is_guard_error(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimiser": "sgd", "lr": 1e6, "epochs": 50}))
+        with np.errstate(all="ignore"):
+            code = main(["train", "--dataset", dataset_dir, "--config", str(cfg)])
+        assert code == 3
+        assert "training loss is" in capsys.readouterr().err
+
     def test_unknown_kind(self, dataset_dir, capsys):
         code = main(["train", "--dataset", dataset_dir, "--kind", "resnet"])
         assert code == 1
@@ -205,6 +231,18 @@ class TestExitCodes:
              "--kind", "trivial", "--out", str(tmp_path / "s.csv")]
         )
         assert code == 2
+
+    def test_non_finite_feature_is_data_error(self, dataset_dir, tmp_path, capsys):
+        nodes = tmp_path / "sbm" / "nodes.csv"
+        rows = nodes.read_text().splitlines()
+        rows[1] = ",".join(["0", "nan"] + rows[1].split(",")[2:])
+        nodes.write_text("\n".join(rows) + "\n")
+        code = main(
+            ["build-sheaf", "--dataset", dataset_dir, "--d", "2",
+             "--kind", "connection", "--out", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+        assert "non-finite feature" in capsys.readouterr().err
 
     def test_bad_flag_is_usage_error(self, capsys):
         code = main(["train", "--no-such-flag", "x"])

@@ -81,6 +81,16 @@ class TestLoadSave:
         with pytest.raises(DataError, match="malformed"):
             load_dataset(tmp_path / "bad")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature(self, tmp_path, value):
+        ds = toy_dataset()
+        save_dataset(ds, tmp_path / "bad")
+        nodes = (tmp_path / "bad" / "nodes.csv").read_text().splitlines()
+        nodes[2] = f"1,{value},-1.0,1"
+        (tmp_path / "bad" / "nodes.csv").write_text("\n".join(nodes) + "\n")
+        with pytest.raises(DataError, match="non-finite feature in nodes.csv at node 1"):
+            load_dataset(tmp_path / "bad")
+
     def test_malformed_header(self, tmp_path):
         ds = toy_dataset()
         save_dataset(ds, tmp_path / "bad")

@@ -3,8 +3,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import sheaflab as sl
+from sheaflab.errors import GuardError
 from sheaflab.model import (
+    DiffusionModel,
     ForwardCache,
+    GcnModel,
+    MlpModel,
     TrainConfig,
     backward,
     build_sheaf_by_kind,
@@ -12,6 +16,7 @@ from sheaflab.model import (
     cross_entropy_grad,
     encode,
     forward,
+    gcn_propagation_matrix,
     grad_arrays,
     init_params,
     param_arrays,
@@ -35,12 +40,18 @@ def small_instance(seed, n=6, p=3, d=2, f=2, layers=2, activation="relu", kind="
 
 
 def numeric_grads(params, lap, feats, labels, mask, h=1e-5):
+    return numeric_model_grads(DiffusionModel(params, lap), feats, labels, mask, h)
+
+
+def numeric_model_grads(model, feats, labels, mask, h=1e-5):
+    """Central differences of the masked loss in every entry of `model.arrays`."""
+
     def loss():
-        logits, _ = forward(params, lap, feats)
+        logits, _ = model.forward(feats)
         return cross_entropy(logits, labels, mask)
 
     out = []
-    for arr in param_arrays(params):
+    for arr in model.arrays:
         grad = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
@@ -211,6 +222,33 @@ class TestBackward:
         numeric = numeric_grads(params, lap, feats, labels, mask)
         assert max_rel_err(grad_arrays(grads), numeric) < 1e-5
 
+    def test_finite_difference_fixed_dropout_mask(self):
+        g, lap, params, feats, labels = small_instance(13)
+        keep = np.random.default_rng(13).random(feats.shape) >= 0.5
+        dropped = feats * keep / 0.5
+        model = DiffusionModel(params, lap)
+        mask = np.arange(g.n)
+        logits, cache = model.forward(dropped)
+        grads = model.backward(cache, cross_entropy_grad(logits, labels, mask))
+        numeric = numeric_model_grads(model, dropped, labels, mask)
+        assert max_rel_err(grads, numeric) < 1e-5
+
+    @pytest.mark.parametrize("kind", ["gcn", "mlp"])
+    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    def test_finite_difference_baselines(self, kind, act):
+        g, _, _, feats, labels = small_instance(14)
+        rng = np.random.default_rng(14)
+        ws = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]
+        if kind == "gcn":
+            model = GcnModel(gcn_propagation_matrix(g), ws, act)
+        else:
+            model = MlpModel(ws, act)
+        mask = np.arange(g.n)
+        logits, cache = model.forward(feats)
+        grads = model.backward(cache, cross_entropy_grad(logits, labels, mask))
+        numeric = numeric_model_grads(model, feats, labels, mask)
+        assert max_rel_err(grads, numeric) < 1e-5
+
     def test_w2_closed_form_linear_case(self):
         # T=1, identity activation: X1 = X0 - L (I kron W1) X0 W2 is linear
         # in W2, so dW2 = -A^T (L G) with A = (I kron W1) X0
@@ -258,23 +296,38 @@ class TestGcnMlp:
         g = sl.from_edge_list(1, [], np.zeros((1, 2)))
         h = np.array([[2.0, -1.0]])
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert_allclose(sl.gcn_forward(g, h, w, "relu"), np.maximum(h, 0.0))
+        assert_allclose(
+            sl.gcn_forward(gcn_propagation_matrix(g), h, w, "relu"), np.maximum(h, 0.0)
+        )
+
+    @staticmethod
+    def dense_gcn(g):
+        ahat = np.eye(g.n)
+        for u, v in g.edges:
+            ahat[u, v] = ahat[v, u] = 1.0
+        return np.diag(ahat.sum(1) ** -0.5) @ ahat @ np.diag(ahat.sum(1) ** -0.5)
 
     def test_gcn_constant_fixed_point_four_cycle(self):
         g = sl.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)], np.zeros((4, 2)))
         h = np.full((4, 2), 1.7)
-        got = sl.gcn_forward(g, h, np.eye(2), "identity")
-        ahat = np.eye(4)
-        for u, v in g.edges:
-            ahat[u, v] = ahat[v, u] = 1.0
-        dense = np.diag(ahat.sum(1) ** -0.5) @ ahat @ np.diag(ahat.sum(1) ** -0.5)
+        got = sl.gcn_forward(gcn_propagation_matrix(g), h, np.eye(2), "identity")
+        dense = self.dense_gcn(g)
         assert_allclose(got, dense @ h, atol=1e-12)
         assert_allclose(got, h, atol=1e-12)
+        # irregular random graphs whose last two nodes are isolated, and n = 1
+        rng = np.random.default_rng(3)
+        for n in (1, 5, 9, 14):
+            raw = [(u, v) for u in range(n - 2) for v in range(u + 1, n - 2) if rng.random() < 0.4]
+            g = sl.from_edge_list(n, raw, np.zeros((n, 2)))
+            h = rng.standard_normal((n, 3))
+            got = sl.apply(gcn_propagation_matrix(g), h)
+            assert_allclose(got, self.dense_gcn(g) @ h, atol=1e-12)
 
     def test_gcn_zero_weights(self):
         g = sl.from_edge_list(3, [(0, 1), (1, 2)], np.zeros((3, 2)))
         h = np.random.default_rng(0).standard_normal((3, 4))
-        assert_array_equal(sl.gcn_forward(g, h, np.zeros((4, 2))), np.zeros((3, 2)))
+        prop = gcn_propagation_matrix(g)
+        assert_array_equal(sl.gcn_forward(prop, h, np.zeros((4, 2))), np.zeros((3, 2)))
 
     def test_mlp_zero_weights_uniform(self):
         feats = np.random.default_rng(1).standard_normal((5, 3))
@@ -365,6 +418,28 @@ class TestTrain:
             assert len(hist["epoch"]) == 10
             assert 0.0 <= hist["test_acc_at_best"] <= 1.0
             assert hist["sheaf_build_seconds"] >= 0.0
+
+    @pytest.mark.parametrize("kind", ["connection", "trivial", "rand-edge", "gcn", "mlp"])
+    def test_non_finite_loss_raises_guard_error(self, kind):
+        cfg = TrainConfig(optimiser="sgd", lr=1e6, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(GuardError, match="training loss is"):
+            train(self._dataset(), kind, cfg, 0)
+
+    @pytest.mark.parametrize("kind", ["gcn", "mlp", "trivial"])
+    def test_dropout_changes_training(self, kind):
+        ds = self._dataset(4)
+        losses = [
+            train(ds, kind, TrainConfig(epochs=5, dropout=rate, seed=0), 0)[1]["train_loss"]
+            for rate in (0.0, 0.5)
+        ]
+        assert losses[0] != losses[1]
+
+    def test_unlabelled_dataset(self):
+        ds = self._dataset()
+        g = ds.graph
+        ds.graph = sl.from_edge_list(g.n, g.edges, g.features)
+        with pytest.raises(ValueError, match="dataset has no labels"):
+            train(ds, "trivial", TrainConfig(epochs=1), 0)
 
     def test_early_stopping_patience(self):
         ds = self._dataset(3)
