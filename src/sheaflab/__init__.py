@@ -2,22 +2,12 @@
 
 from .data import Dataset, Split, generate_splits, load_dataset, save_dataset, synth_sbm
 from .errors import DataError, GuardError
-from .graph import (
-    Graph,
-    degree,
-    from_edge_list,
-    graph_laplacian,
-    homophily,
-    one_hop_neighbourhood,
-)
+from .graph import Graph, degree, from_edge_list, homophily, one_hop_neighbourhood
 from .laplacian import (
     BlockLaplacian,
-    Coboundary,
     apply,
-    coboundary,
     dirichlet_energy,
     euler_diffusion,
-    laplacian_from_coboundary,
     normalise,
     sheaf_laplacian,
     spectrum,
@@ -42,7 +32,6 @@ from .model import (
 from .sheaf import (
     Sheaf,
     TangentBasis,
-    TransportMap,
     align,
     build_connection_sheaf,
     haar_orthogonal,

@@ -18,7 +18,8 @@ from .data import load_dataset, save_dataset, synth_sbm
 from .errors import DataError, GuardError
 from .graph import homophily
 from .laplacian import normalise, sheaf_laplacian, spectrum
-from .model import SHEAF_KINDS, TrainConfig, build_sheaf_by_kind, config_field_types, train
+from .model import EPOCH_KEYS, SHEAF_KINDS, TrainConfig, build_sheaf_by_kind, train
+from .model import config_field_types
 from .sheaf import BuildDiagnostics, write_sheaf_csv
 
 EXIT_OK = 0
@@ -97,20 +98,21 @@ def cmd_build_sheaf(args) -> int:
     return EXIT_OK
 
 
+def _emit_epochs(history: dict) -> None:
+    for values in zip(*(history[key] for key in EPOCH_KEYS)):
+        _emit(dict(zip(EPOCH_KEYS, values)))
+
+
 def _train_one(ds, kind, cfg, split_index, emit_epochs=True):
-    params, history = train(ds, kind, cfg, split_index)
+    try:
+        _, history = train(ds, kind, cfg, split_index)
+    except GuardError as exc:
+        # a run the guard stopped still reports the epochs it finished
+        if emit_epochs and exc.history is not None:
+            _emit_epochs(exc.history)
+        raise
     if emit_epochs:
-        for i in range(len(history["epoch"])):
-            _emit(
-                {
-                    "epoch": history["epoch"][i],
-                    "train_loss": history["train_loss"][i],
-                    "train_acc": history["train_acc"][i],
-                    "val_acc": history["val_acc"][i],
-                    "test_acc": history["test_acc"][i],
-                    "epoch_seconds": history["epoch_seconds"][i],
-                }
-            )
+        _emit_epochs(history)
     return history
 
 

@@ -21,6 +21,7 @@ from .graph import Graph, from_edge_list
 TRAIN_FRACTION = 0.48
 VAL_FRACTION = 0.32
 N_SPLITS = 10
+_SBM_CHUNK = 1 << 18  # candidate node pairs per rng.random call in synth_sbm
 
 
 @dataclass(eq=False)
@@ -110,10 +111,19 @@ def synth_sbm(
     labels = np.repeat(np.arange(n_classes), sizes)
 
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    probs = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.size) < probs
-    edges = np.stack([iu[keep], ju[keep]], axis=1)
+    # one draw per candidate pair (i, j), i < j, in row-major order, taken in
+    # chunks of _SBM_CHUNK pairs; row i's pairs start at flat index first[i]
+    rows = np.arange(n)
+    first = rows * (2 * n - rows - 1) // 2
+    total = int(first[-1])  # n (n - 1) / 2
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
+    for lo in range(0, total, _SBM_CHUNK):
+        flat = np.arange(lo, min(lo + _SBM_CHUNK, total))
+        iu = np.searchsorted(first, flat, side="right") - 1
+        ju = flat - first[iu] + iu + 1
+        keep = rng.random(flat.size) < np.where(labels[iu] == labels[ju], p_in, p_out)
+        pairs.append(np.stack([iu[keep], ju[keep]], axis=1))
+    edges = np.concatenate(pairs)
 
     # scaled standard basis vectors sit at mutual distance `separation` exactly
     means = np.zeros((n_classes, feature_dim))

@@ -6,4 +6,9 @@ class DataError(Exception):
 
 
 class GuardError(Exception):
-    """Numerical precondition or size-guard violation."""
+    """Numerical precondition or size-guard violation.
+
+    When the training-loss guard fires, `history` holds the finished epochs.
+    """
+
+    history: dict | None = None

@@ -27,11 +27,12 @@ class Graph:
     labels: np.ndarray | None = None  # (n,) int64 class ids
 
     def __post_init__(self):
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[int(u)].append(int(v))
-            nbrs[int(v)].append(int(u))
-        self._neighbours = [np.asarray(sorted(a), dtype=np.int64) for a in nbrs]
+        # adjacency in CSR form: the ascending neighbours of node i are
+        # _adjacent[_indptr[i]:_indptr[i + 1]]
+        heads = np.concatenate([self.edges[:, 0], self.edges[:, 1]]).astype(np.int64)
+        tails = np.concatenate([self.edges[:, 1], self.edges[:, 0]]).astype(np.int64)
+        self._adjacent = tails[np.lexsort((tails, heads))]
+        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=self.n))])
 
     @property
     def num_edges(self) -> int:
@@ -88,13 +89,13 @@ def one_hop_neighbourhood(g: Graph, i: int) -> np.ndarray:
     """Ascending ids of the nodes adjacent to i (i itself excluded)."""
     if not 0 <= i < g.n:
         raise ValueError(f"node index {i} out of range [0, {g.n})")
-    return g._neighbours[i].copy()
+    return g._adjacent[g._indptr[i]:g._indptr[i + 1]].copy()
 
 
 def degree(g: Graph, i: int) -> int:
     if not 0 <= i < g.n:
         raise ValueError(f"node index {i} out of range [0, {g.n})")
-    return int(g._neighbours[i].size)
+    return int(g._indptr[i + 1] - g._indptr[i])
 
 
 def homophily(g: Graph, labels=None) -> float:
@@ -111,14 +112,3 @@ def homophily(g: Graph, labels=None) -> float:
     us, vs = g.edges[:, 0], g.edges[:, 1]
     return float(np.mean(labels[us] == labels[vs]))
 
-
-def graph_laplacian(g: Graph) -> np.ndarray:
-    """Classical L = D - A as a dense symmetric n x n matrix."""
-    lap = np.zeros((g.n, g.n), dtype=np.float64)
-    if g.num_edges:
-        us, vs = g.edges[:, 0], g.edges[:, 1]
-        lap[us, vs] = -1.0
-        lap[vs, us] = -1.0
-        deg = np.bincount(g.edges.ravel(), minlength=g.n)
-        lap[np.arange(g.n), np.arange(g.n)] = deg
-    return lap

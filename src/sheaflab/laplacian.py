@@ -1,4 +1,4 @@
-"""Coboundary and Laplacian operators over a sheaf.
+"""The block Laplacian L = delta^T delta of a sheaf.
 
 The Laplacian is stored block-sparse: n diagonal d x d blocks plus one
 off-diagonal block per canonical edge (u, v), holding the block at
@@ -20,54 +20,6 @@ from .graph import Graph
 from .sheaf import Sheaf
 
 DENSE_EIG_LIMIT = 5000  # nd beyond this refuses the dense eigensolver
-
-
-@dataclass(eq=False)
-class Coboundary:
-    """Block-sparse edge-disagreement operator.
-
-    Block row e for edge (u, v) holds the identity at the head column and
-    minus the transport at the tail column; `orientations[e]` = +1 means
-    the canonical orientation u -> v, -1 the reverse.
-    """
-
-    n: int
-    d: int
-    edges: np.ndarray        # (m, 2) canonical
-    transports: np.ndarray   # (m, d, d), u-stalk to v-stalk
-    orientations: np.ndarray  # (m,) values in {+1, -1}
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.edges.shape[0])
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Per-edge disagreements of a 0-cochain; x is (nd,) or (nd, f)."""
-        vec = x.ndim == 1
-        xb = (x[:, None] if vec else x).reshape(self.n, self.d, -1)
-        m, d = self.num_edges, self.d
-        out = np.empty((m, d, xb.shape[2]), dtype=np.float64)
-        for e, (u, v) in enumerate(self.edges):
-            if self.orientations[e] > 0:
-                out[e] = xb[v] - self.transports[e] @ xb[u]
-            else:
-                out[e] = xb[u] - self.transports[e].T @ xb[v]
-        out = out.reshape(m * d, -1)
-        return out[:, 0] if vec else out
-
-    def to_dense(self) -> np.ndarray:
-        m, n, d = self.num_edges, self.n, self.d
-        delta = np.zeros((m * d, n * d), dtype=np.float64)
-        eye = np.eye(d)
-        for e, (u, v) in enumerate(self.edges):
-            rows = slice(e * d, (e + 1) * d)
-            if self.orientations[e] > 0:
-                delta[rows, v * d:(v + 1) * d] = eye
-                delta[rows, u * d:(u + 1) * d] = -self.transports[e]
-            else:
-                delta[rows, u * d:(u + 1) * d] = eye
-                delta[rows, v * d:(v + 1) * d] = -self.transports[e].T
-        return delta
 
 
 @dataclass(eq=False)
@@ -94,13 +46,9 @@ class BlockLaplacian:
         return int(self.edges.shape[0])
 
     def to_dense(self) -> np.ndarray:
-        n, d = self.n, self.d
-        dense = np.zeros((n * d, n * d), dtype=np.float64)
-        for v in range(n):
-            dense[v * d:(v + 1) * d, v * d:(v + 1) * d] = self.diag[v]
-        for e, (u, v) in enumerate(self.edges):
-            dense[v * d:(v + 1) * d, u * d:(u + 1) * d] = self.off[e]
-            dense[u * d:(u + 1) * d, v * d:(v + 1) * d] = self.off[e].T
+        dense = np.zeros((self.dim, self.dim), dtype=np.float64)
+        rows, cols, vals = _entries(self)
+        dense[rows, cols] = vals
         return dense
 
     def __repr__(self) -> str:
@@ -115,27 +63,19 @@ def _check_match(s: Sheaf, g: Graph) -> None:
         raise ValueError("sheaf does not match graph (node count or edge list differ)")
 
 
-def coboundary(s: Sheaf, g: Graph, orientations=None) -> Coboundary:
-    """Coboundary operator of the sheaf over g.
+def _entries(lap: BlockLaplacian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scalar (rows, cols, vals) of every stored entry, zeros included.
 
-    `orientations` overrides the per-edge orientation (+1 canonical u -> v);
-    the induced Laplacian is orientation-independent.
+    The diagonal blocks come first, then the (v, u) block of each edge, then
+    its mirrored transpose at (u, v); each block is listed row-major.
     """
-    _check_match(s, g)
-    m = s.num_edges
-    if orientations is None:
-        orientations = np.ones(m, dtype=np.int64)
-    else:
-        orientations = np.asarray(orientations, dtype=np.int64)
-        if orientations.shape != (m,) or not np.all(np.abs(orientations) == 1):
-            raise ValueError("orientations must be one of +1/-1 per edge")
-    return Coboundary(
-        n=g.n,
-        d=s.d,
-        edges=s.edges.copy(),
-        transports=s.transports.copy(),
-        orientations=orientations,
-    )
+    d = lap.d
+    a, b = np.divmod(np.arange(d * d), d)  # in-block row and column, row-major
+    nodes, us, vs = np.arange(lap.n)[:, None] * d, lap.edges[:, :1] * d, lap.edges[:, 1:] * d
+    rows = np.concatenate([(nodes + a).ravel(), (vs + a).ravel(), (us + b).ravel()])
+    cols = np.concatenate([(nodes + b).ravel(), (us + b).ravel(), (vs + a).ravel()])
+    off = lap.off.ravel()
+    return rows, cols, np.concatenate([lap.diag.ravel(), off, off])
 
 
 def sheaf_laplacian(s: Sheaf, g: Graph) -> BlockLaplacian:
@@ -146,20 +86,6 @@ def sheaf_laplacian(s: Sheaf, g: Graph) -> BlockLaplacian:
     diag = deg[:, None, None] * np.eye(d)[None, :, :]
     off = -s.transports.copy()
     return BlockLaplacian(n=n, d=d, edges=s.edges.copy(), diag=diag, off=off)
-
-
-def laplacian_from_coboundary(c: Coboundary) -> BlockLaplacian:
-    """Oracle path: dense delta^T delta, re-blocked on the edge pattern."""
-    delta = c.to_dense()
-    dense = delta.T @ delta
-    n, d = c.n, c.d
-    diag = np.empty((n, d, d), dtype=np.float64)
-    for v in range(n):
-        diag[v] = dense[v * d:(v + 1) * d, v * d:(v + 1) * d]
-    off = np.empty((c.num_edges, d, d), dtype=np.float64)
-    for e, (u, v) in enumerate(c.edges):
-        off[e] = dense[v * d:(v + 1) * d, u * d:(u + 1) * d]
-    return BlockLaplacian(n=n, d=d, edges=c.edges.copy(), diag=diag, off=off)
 
 
 def normalise(lap: BlockLaplacian) -> BlockLaplacian:
@@ -227,44 +153,16 @@ def euler_diffusion(lap: BlockLaplacian, x0: np.ndarray, steps: int) -> np.ndarr
 
 def write_laplacian_coo(lap: BlockLaplacian, path) -> None:
     """Sorted 'i j value' triplets of the nonzero entries, with a size header."""
-    entries: list[tuple[int, int, float]] = []
-    d = lap.d
-    for v in range(lap.n):
-        block = lap.diag[v]
-        for a in range(d):
-            for b in range(d):
-                val = float(block[a, b])
-                if val != 0.0:
-                    entries.append((v * d + a, v * d + b, val))
-    for e, (u, v) in enumerate(lap.edges):
-        block = lap.off[e]
-        for a in range(d):
-            for b in range(d):
-                val = float(block[a, b])
-                if val != 0.0:
-                    entries.append((v * d + a, u * d + b, val))
-                    entries.append((u * d + b, v * d + a, val))
-    entries.sort()
+    rows, cols, vals = _entries(lap)
+    nz = vals != 0.0
+    rows, cols, vals = rows[nz], cols[nz], vals[nz]
+    order = np.lexsort((cols, rows))
     flag = "true" if lap.normalised else "false"
     with open(path, "w") as fh:
         fh.write(f"nd={lap.dim} d={lap.d} normalised={flag}\n")
-        for i, j, val in entries:
-            fh.write(f"{i} {j} {repr(val)}\n")
-
-
-def read_laplacian_coo(path) -> tuple[np.ndarray, int, bool]:
-    """Dense matrix, block size and normalised flag from a triplet file."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        meta = dict(item.split("=", 1) for item in header.split())
-        nd = int(meta["nd"])
-        d = int(meta["d"])
-        normalised = meta["normalised"] == "true"
-        dense = np.zeros((nd, nd), dtype=np.float64)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            i_s, j_s, v_s = line.split()
-            dense[int(i_s), int(j_s)] = float(v_s)
-    return dense, d, normalised
+        fh.writelines(
+            f"{i} {j} {val!r}\n"
+            for i, j, val in zip(
+                rows[order].tolist(), cols[order].tolist(), vals[order].tolist()
+            )
+        )

@@ -33,6 +33,8 @@ from .sheaf import (
 
 SHEAF_KINDS = ("connection", "trivial", "rand-edge", "rand-node")
 BASELINE_KINDS = ("gcn", "mlp")
+# per-epoch history lists, one entry per finished epoch
+EPOCH_KEYS = ("epoch", "train_loss", "train_acc", "val_acc", "test_acc", "epoch_seconds")
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 
@@ -480,8 +482,7 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0):
             model = GcnModel(prop, ws, cfg.activation)
     adam = _AdamState(model.arrays) if cfg.optimiser == "adam" else None
 
-    keys = ("epoch", "train_loss", "train_acc", "val_acc", "test_acc", "epoch_seconds")
-    history = {key: [] for key in keys}
+    history = {key: [] for key in EPOCH_KEYS}
     best_val, best_epoch, best_arrays, since_best = -1.0, 0, None, 0
     for epoch in range(1, cfg.epochs + 1):
         tic = time.perf_counter()
@@ -492,14 +493,16 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0):
         logits, cache = model.forward(feats)
         loss = cross_entropy(logits, labels, split.train)
         if not np.isfinite(loss):
-            raise GuardError(f"{kind}: training loss is {loss} at epoch {epoch}")
+            err = GuardError(f"{kind}: training loss is {loss} at epoch {epoch}")
+            err.history = history
+            raise err
         grads = model.backward(cache, cross_entropy_grad(logits, labels, split.train))
         _step(model.arrays, grads, cfg, adam)
 
         eval_logits, _ = model.forward(g.features)
         masks = (split.train, split.val, split.test)
         tr, va, te = (accuracy(eval_logits, labels, m) for m in masks)
-        for key, value in zip(keys, (epoch, loss, tr, va, te, time.perf_counter() - tic)):
+        for key, value in zip(EPOCH_KEYS, (epoch, loss, tr, va, te, time.perf_counter() - tic)):
             history[key].append(value)
 
         if va > best_val:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import DataError, GuardError
 from .graph import Graph, one_hop_neighbourhood
 
 # Reproducibility thresholds. Left singular vectors are defined only up to
@@ -28,6 +28,7 @@ _TIE_TOL = 1e-10       # singular values closer than this are one tied group
 _RANK_TOL = 1e-10      # relative cutoff below which a singular value is zero
 _GS_TOL = 1e-8         # Gram-Schmidt residual below this is near-dependent
 _SINGULAR_TOL = 1e-10  # cross-Gram smallest singular value: alignment flagged
+_ORTHO_TOL = 1e-10     # max |O^T O - I| a transport read from CSV may have
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,17 +37,6 @@ class TangentBasis:
 
     node: int
     basis: np.ndarray  # (p, d), orthonormal columns, sign-canonical
-
-
-@dataclass(frozen=True, eq=False)
-class TransportMap:
-    """Orthogonal map carrying stalk vectors from u to v for edge (u, v), u < v.
-
-    Transport in the reverse direction is the transpose.
-    """
-
-    edge: tuple[int, int]
-    matrix: np.ndarray  # (d, d)
 
 
 @dataclass(frozen=True)
@@ -73,12 +63,6 @@ class Sheaf:
     @property
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
-
-    def transport_maps(self) -> list[TransportMap]:
-        return [
-            TransportMap(edge=(int(u), int(v)), matrix=o)
-            for (u, v), o in zip(self.edges, self.transports)
-        ]
 
     def __repr__(self) -> str:
         return f"Sheaf(kind={self.kind!r}, n={self.n}, d={self.d}, m={self.num_edges})"
@@ -345,23 +329,42 @@ def write_sheaf_csv(s: Sheaf, path) -> None:
 
 
 def read_sheaf_csv(path) -> Sheaf:
+    """The sheaf in a write_sheaf_csv file; a malformed line raises DataError.
+
+    Edges must be canonical (0 <= u < v < n, strictly increasing) and every transport
+    orthogonal to within _ORTHO_TOL; errors name the 1-based line.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
-        meta = dict(item.split("=", 1) for item in header.split(","))
-        n, d, kind = int(meta["n"]), int(meta["d"]), meta["kind"]
-        edges = []
-        blocks = []
-        for line in fh:
-            line = line.strip()
-            if not line:
+        try:
+            meta = dict(item.split("=", 1) for item in header.split(","))
+            n, d, kind = int(meta["n"]), int(meta["d"]), meta["kind"]
+            if n < 0 or d < 1:
+                raise ValueError
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"line 1: bad header {header!r}, need n >= 0, d >= 1, kind") from exc
+        edges, entries, line_nos = [], [], []
+        for no, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if parts == [""]:
                 continue
-            parts = line.split(",")
-            edges.append((int(parts[0]), int(parts[1])))
-            blocks.append(np.array([float(x) for x in parts[2:]]).reshape(d, d))
-    edges_arr = (
-        np.asarray(edges, dtype=np.int64) if edges else np.zeros((0, 2), dtype=np.int64)
-    )
-    transports = (
-        np.stack(blocks) if blocks else np.zeros((0, d, d), dtype=np.float64)
-    )
+            if len(parts) != 2 + d * d:
+                raise DataError(f"line {no}: expected {2 + d * d} fields, got {len(parts)}")
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+                entries.append([float(x) for x in parts[2:]])
+            except ValueError as exc:
+                raise DataError(f"line {no}: {exc}") from exc
+            line_nos.append(no)
+    edges_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    transports = np.array(entries, dtype=np.float64).reshape(-1, d, d)
+    us, vs = edges_arr[:, 0], edges_arr[:, 1]
+    bad = (us < 0) | (us >= vs) | (vs >= n)
+    bad[1:] |= (us[1:] < us[:-1]) | ((us[1:] == us[:-1]) & (vs[1:] <= vs[:-1]))
+    if bad.any():
+        raise DataError(f"line {line_nos[np.argmax(bad)]}: edge not canonical or out of order")
+    gram = np.matmul(np.transpose(transports, (0, 2, 1)), transports)
+    ortho = np.max(np.abs(gram - np.eye(d)), axis=(1, 2)) <= _ORTHO_TOL
+    if not ortho.all():
+        raise DataError(f"line {line_nos[np.argmin(ortho)]}: transport not orthogonal")
     return Sheaf(d=d, n=n, kind=kind, edges=edges_arr, transports=transports)

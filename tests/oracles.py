@@ -1,0 +1,225 @@
+"""Loop-based reference implementations that only the tests use.
+
+Each is kept in its straightforward per-node / per-edge / per-block form,
+independent of the vectorised package code it checks:
+
+- `Coboundary`, `coboundary` and `laplacian_from_coboundary`: the sheaf
+  Laplacian as the dense product delta^T delta;
+- `graph_laplacian`: the classical dense L = D - A;
+- `read_laplacian_coo`: a dense matrix back from a COO export;
+- `loop_to_dense` and `loop_write_laplacian_coo`: block-by-block versions
+  of `BlockLaplacian.to_dense` and `write_laplacian_coo`;
+- `all_pairs_synth_sbm`: the SBM sampler that draws all n(n-1)/2
+  candidate pairs at once.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from sheaflab.data import Dataset, generate_splits
+from sheaflab.graph import Graph, from_edge_list
+from sheaflab.laplacian import BlockLaplacian, _check_match
+from sheaflab.sheaf import Sheaf
+
+
+@dataclass(eq=False)
+class Coboundary:
+    """Block-sparse edge-disagreement operator.
+
+    Block row e for edge (u, v) holds the identity at the head column and
+    minus the transport at the tail column; `orientations[e]` = +1 means
+    the canonical orientation u -> v, -1 the reverse.
+    """
+
+    n: int
+    d: int
+    edges: np.ndarray        # (m, 2) canonical
+    transports: np.ndarray   # (m, d, d), u-stalk to v-stalk
+    orientations: np.ndarray  # (m,) values in {+1, -1}
+
+    @property
+    def num_edges(self) -> int:
+        return int(self.edges.shape[0])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Per-edge disagreements of a 0-cochain; x is (nd,) or (nd, f)."""
+        vec = x.ndim == 1
+        xb = (x[:, None] if vec else x).reshape(self.n, self.d, -1)
+        m, d = self.num_edges, self.d
+        out = np.empty((m, d, xb.shape[2]), dtype=np.float64)
+        for e, (u, v) in enumerate(self.edges):
+            if self.orientations[e] > 0:
+                out[e] = xb[v] - self.transports[e] @ xb[u]
+            else:
+                out[e] = xb[u] - self.transports[e].T @ xb[v]
+        out = out.reshape(m * d, -1)
+        return out[:, 0] if vec else out
+
+    def to_dense(self) -> np.ndarray:
+        m, n, d = self.num_edges, self.n, self.d
+        delta = np.zeros((m * d, n * d), dtype=np.float64)
+        eye = np.eye(d)
+        for e, (u, v) in enumerate(self.edges):
+            rows = slice(e * d, (e + 1) * d)
+            if self.orientations[e] > 0:
+                delta[rows, v * d:(v + 1) * d] = eye
+                delta[rows, u * d:(u + 1) * d] = -self.transports[e]
+            else:
+                delta[rows, u * d:(u + 1) * d] = eye
+                delta[rows, v * d:(v + 1) * d] = -self.transports[e].T
+        return delta
+
+
+def coboundary(s: Sheaf, g: Graph, orientations=None) -> Coboundary:
+    """Coboundary operator of the sheaf over g.
+
+    `orientations` overrides the per-edge orientation (+1 canonical u -> v);
+    the induced Laplacian is orientation-independent.
+    """
+    _check_match(s, g)
+    m = s.num_edges
+    if orientations is None:
+        orientations = np.ones(m, dtype=np.int64)
+    else:
+        orientations = np.asarray(orientations, dtype=np.int64)
+        if orientations.shape != (m,) or not np.all(np.abs(orientations) == 1):
+            raise ValueError("orientations must be one of +1/-1 per edge")
+    return Coboundary(
+        n=g.n,
+        d=s.d,
+        edges=s.edges.copy(),
+        transports=s.transports.copy(),
+        orientations=orientations,
+    )
+
+
+def laplacian_from_coboundary(c: Coboundary) -> BlockLaplacian:
+    """Oracle path: dense delta^T delta, re-blocked on the edge pattern."""
+    delta = c.to_dense()
+    dense = delta.T @ delta
+    n, d = c.n, c.d
+    diag = np.empty((n, d, d), dtype=np.float64)
+    for v in range(n):
+        diag[v] = dense[v * d:(v + 1) * d, v * d:(v + 1) * d]
+    off = np.empty((c.num_edges, d, d), dtype=np.float64)
+    for e, (u, v) in enumerate(c.edges):
+        off[e] = dense[v * d:(v + 1) * d, u * d:(u + 1) * d]
+    return BlockLaplacian(n=n, d=d, edges=c.edges.copy(), diag=diag, off=off)
+
+
+def graph_laplacian(g: Graph) -> np.ndarray:
+    """Classical L = D - A as a dense symmetric n x n matrix."""
+    lap = np.zeros((g.n, g.n), dtype=np.float64)
+    if g.num_edges:
+        us, vs = g.edges[:, 0], g.edges[:, 1]
+        lap[us, vs] = -1.0
+        lap[vs, us] = -1.0
+        deg = np.bincount(g.edges.ravel(), minlength=g.n)
+        lap[np.arange(g.n), np.arange(g.n)] = deg
+    return lap
+
+
+def loop_to_dense(lap: BlockLaplacian) -> np.ndarray:
+    n, d = lap.n, lap.d
+    dense = np.zeros((n * d, n * d), dtype=np.float64)
+    for v in range(n):
+        dense[v * d:(v + 1) * d, v * d:(v + 1) * d] = lap.diag[v]
+    for e, (u, v) in enumerate(lap.edges):
+        dense[v * d:(v + 1) * d, u * d:(u + 1) * d] = lap.off[e]
+        dense[u * d:(u + 1) * d, v * d:(v + 1) * d] = lap.off[e].T
+    return dense
+
+
+def loop_write_laplacian_coo(lap: BlockLaplacian, path) -> None:
+    """Sorted 'i j value' triplets of the nonzero entries, with a size header."""
+    entries: list[tuple[int, int, float]] = []
+    d = lap.d
+    for v in range(lap.n):
+        block = lap.diag[v]
+        for a in range(d):
+            for b in range(d):
+                val = float(block[a, b])
+                if val != 0.0:
+                    entries.append((v * d + a, v * d + b, val))
+    for e, (u, v) in enumerate(lap.edges):
+        block = lap.off[e]
+        for a in range(d):
+            for b in range(d):
+                val = float(block[a, b])
+                if val != 0.0:
+                    entries.append((v * d + a, u * d + b, val))
+                    entries.append((u * d + b, v * d + a, val))
+    entries.sort()
+    flag = "true" if lap.normalised else "false"
+    with open(path, "w") as fh:
+        fh.write(f"nd={lap.dim} d={lap.d} normalised={flag}\n")
+        for i, j, val in entries:
+            fh.write(f"{i} {j} {repr(val)}\n")
+
+
+def read_laplacian_coo(path) -> tuple[np.ndarray, int, bool]:
+    """Dense matrix, block size and normalised flag from a triplet file."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        meta = dict(item.split("=", 1) for item in header.split())
+        nd = int(meta["nd"])
+        d = int(meta["d"])
+        normalised = meta["normalised"] == "true"
+        dense = np.zeros((nd, nd), dtype=np.float64)
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            i_s, j_s, v_s = line.split()
+            dense[int(i_s), int(j_s)] = float(v_s)
+    return dense, d, normalised
+
+
+def all_pairs_synth_sbm(
+    n: int,
+    n_classes: int,
+    p_in: float,
+    p_out: float,
+    feature_dim: int,
+    separation: float,
+    seed: int,
+    name: str | None = None,
+) -> Dataset:
+    """Balanced stochastic block model with class-conditional Gaussian features.
+
+    Class means sit at mutual Euclidean distance `separation` with unit
+    covariance; labels are the blocks; splits come from generate_splits.
+    Expected homophily is p_in / (p_in + (C-1) p_out) for balanced classes.
+    """
+    if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
+        raise ValueError("edge probabilities must lie in [0, 1]")
+    if n_classes < 1 or n < n_classes:
+        raise ValueError("degenerate parameters: need n >= n_classes >= 1")
+    if feature_dim < n_classes:
+        raise ValueError("degenerate parameters: need feature_dim >= n_classes")
+    if separation < 0:
+        raise ValueError("degenerate parameters: separation must be >= 0")
+
+    sizes = np.full(n_classes, n // n_classes, dtype=np.int64)
+    sizes[: n % n_classes] += 1
+    labels = np.repeat(np.arange(n_classes), sizes)
+
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    probs = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = rng.random(iu.size) < probs
+    edges = np.stack([iu[keep], ju[keep]], axis=1)
+
+    # scaled standard basis vectors sit at mutual distance `separation` exactly
+    means = np.zeros((n_classes, feature_dim))
+    means[np.arange(n_classes), np.arange(n_classes)] = separation / np.sqrt(2.0)
+    features = rng.standard_normal((n, feature_dim)) + means[labels]
+
+    graph = from_edge_list(n, edges, features, labels)
+    splits = generate_splits(labels, seed)
+    if name is None:
+        name = f"sbm-n{n}-c{n_classes}-pi{p_in}-po{p_out}-s{seed}"
+    return Dataset(graph=graph, splits=splits, name=name)

@@ -150,6 +150,19 @@ class TestTrain:
         assert code == 3
         assert "training loss is" in capsys.readouterr().err
 
+    def test_guard_stop_prints_finished_epochs(self, tmp_path, capsys):
+        target = tmp_path / "sbm60"
+        save_dataset(synth_sbm(60, 2, 0.2, 0.05, 2, 2.0, seed=0), target)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimiser": "sgd", "lr": 1e6}))
+        with np.errstate(all="ignore"):
+            code, records = run_cli(
+                capsys, "train", "--dataset", str(target), "--config", str(cfg)
+            )
+        assert code == 3
+        assert [r["epoch"] for r in records] == [1, 2, 3]
+        assert all(np.isfinite(r["train_loss"]) for r in records)
+
     def test_unknown_kind(self, dataset_dir, capsys):
         code = main(["train", "--dataset", dataset_dir, "--kind", "resnet"])
         assert code == 1

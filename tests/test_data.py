@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import sheaflab as sl
+import sheaflab.data
 from sheaflab.data import Split, generate_splits, load_dataset, save_dataset, synth_sbm
 from sheaflab.errors import DataError
+from oracles import all_pairs_synth_sbm
 
 
 def toy_dataset():
@@ -198,3 +201,30 @@ class TestSynthSbm:
         expected = 0.12 / (0.12 + 3 * 0.02)
         se = np.sqrt(expected * (1 - expected) / ds.graph.num_edges)
         assert abs(h - expected) < 4 * se
+
+
+@pytest.mark.parametrize(
+    "chunk, n, seed",
+    [(7, 10, 0), (7, 37, 1), (50, 101, 2), (50, 101, 3), (1000, 300, 4), (1 << 18, 800, 5)],
+)
+def test_chunked_sbm_files_match_all_pairs_oracle(tmp_path, monkeypatch, chunk, n, seed):
+    monkeypatch.setattr(sheaflab.data, "_SBM_CHUNK", chunk)
+    rows = np.arange(n)
+    first = rows * (2 * n - rows - 1) // 2  # flat index of each row's first pair
+    boundaries = np.arange(chunk, n * (n - 1) // 2, chunk)
+    assert boundaries.size and not np.isin(boundaries, first).all()  # some fall mid-row
+    args = (n, 3, 0.2, 0.05, 4, 2.0, seed)
+    save_dataset(synth_sbm(*args), tmp_path / "new")
+    save_dataset(all_pairs_synth_sbm(*args), tmp_path / "old")
+    for name in ("nodes.csv", "edges.csv", "splits.json"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+
+def test_sbm_peak_memory_stays_small():
+    tracemalloc.start()
+    try:
+        synth_sbm(4000, 2, 14.4 / 4000, 3.6 / 4000, 4, 2.0, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

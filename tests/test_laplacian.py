@@ -6,9 +6,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import sheaflab as sl
 from sheaflab.errors import GuardError
-from sheaflab.laplacian import read_laplacian_coo
 from sheaflab.model import build_sheaf_by_kind
 from conftest import random_graph
+from oracles import (
+    coboundary,
+    graph_laplacian,
+    laplacian_from_coboundary,
+    loop_to_dense,
+    loop_write_laplacian_coo,
+    read_laplacian_coo,
+)
 
 
 def path2(d=1):
@@ -37,24 +44,24 @@ def random_instance(seed, max_n=20, max_d=3, kind=None):
 class TestCoboundary:
     def test_trivial_path(self):
         g, s = path2()
-        cob = sl.coboundary(s, g)
+        cob = coboundary(s, g)
         assert_allclose(cob.apply(np.array([1.0, 2.0])), [1.0])
 
     def test_constant_harmonic(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, n=8, edge_prob=0.5)
         s = sl.trivial_sheaf(g, 1)
-        cob = sl.coboundary(s, g)
+        cob = coboundary(s, g)
         assert_allclose(cob.apply(np.ones(8)), 0.0, atol=1e-15)
 
     def test_negated_transport(self):
         g, s = sign_sheaf()
-        cob = sl.coboundary(s, g)
+        cob = coboundary(s, g)
         assert_allclose(cob.apply(np.array([1.0, 1.0])), [2.0])
 
     def test_two_blocks_per_row(self):
         g, s = random_instance(3)
-        dense = sl.coboundary(s, g).to_dense()
+        dense = coboundary(s, g).to_dense()
         d = s.d
         for e in range(s.num_edges):
             rows = dense[e * d:(e + 1) * d]
@@ -67,7 +74,7 @@ class TestCoboundary:
         g, s = path2()
         other = sl.from_edge_list(3, [(0, 1)], np.zeros((3, 2)))
         with pytest.raises(ValueError, match="match"):
-            sl.coboundary(s, other)
+            coboundary(s, other)
 
 
 class TestSheafLaplacian:
@@ -82,11 +89,11 @@ class TestSheafLaplacian:
     def test_trivial_recovers_graph_laplacian(self, seed):
         g = random_graph(np.random.default_rng(seed), n=int(seed % 28) + 3)
         lap = sl.sheaf_laplacian(sl.trivial_sheaf(g, 1), g)
-        assert_allclose(lap.to_dense(), sl.graph_laplacian(g), atol=1e-12)
+        assert_allclose(lap.to_dense(), graph_laplacian(g), atol=1e-12)
 
     def test_negated_transport_dense(self):
         g, s = sign_sheaf()
-        delta = sl.coboundary(s, g).to_dense()
+        delta = coboundary(s, g).to_dense()
         assert_allclose(delta.T @ delta, [[1.0, 1.0], [1.0, 1.0]], atol=1e-15)
         assert_allclose(
             sl.sheaf_laplacian(s, g).to_dense(), [[1.0, 1.0], [1.0, 1.0]], atol=1e-15
@@ -96,20 +103,20 @@ class TestSheafLaplacian:
 class TestLaplacianFromCoboundary:
     def test_path(self):
         g, s = path2()
-        lap = sl.laplacian_from_coboundary(sl.coboundary(s, g))
+        lap = laplacian_from_coboundary(coboundary(s, g))
         assert_allclose(lap.to_dense(), [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_direct_assembly(self, seed):
         g, s = random_instance(seed)
         direct = sl.sheaf_laplacian(s, g).to_dense()
-        oracle = sl.laplacian_from_coboundary(sl.coboundary(s, g)).to_dense()
+        oracle = laplacian_from_coboundary(coboundary(s, g)).to_dense()
         assert_allclose(direct, oracle, atol=1e-10)
 
     def test_empty_edges(self):
         g = sl.from_edge_list(3, [], np.zeros((3, 2)))
         s = sl.trivial_sheaf(g, 2)
-        lap = sl.laplacian_from_coboundary(sl.coboundary(s, g))
+        lap = laplacian_from_coboundary(coboundary(s, g))
         assert_allclose(lap.to_dense(), np.zeros((6, 6)))
 
     @pytest.mark.parametrize("seed", range(8))
@@ -117,8 +124,8 @@ class TestLaplacianFromCoboundary:
         g, s = random_instance(seed, kind="rand-edge")
         rng = np.random.default_rng(seed)
         flips = rng.choice([-1, 1], size=s.num_edges)
-        base = sl.coboundary(s, g).to_dense()
-        flipped = sl.coboundary(s, g, orientations=flips).to_dense()
+        base = coboundary(s, g).to_dense()
+        flipped = coboundary(s, g, orientations=flips).to_dense()
         assert_allclose(base.T @ base, flipped.T @ flipped, atol=1e-12)
 
 
@@ -195,7 +202,7 @@ class TestDirichletEnergy:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(lap.dim)
         energy = sl.dirichlet_energy(lap, x)
-        dx = sl.coboundary(s, g).apply(x)
+        dx = coboundary(s, g).apply(x)
         assert energy == pytest.approx(float(dx @ dx), abs=1e-10)
         assert energy >= -1e-12
 
@@ -283,3 +290,41 @@ def test_laplacian_coo_round_trip(tmp_path):
     assert lines[0] == f"nd={lap.dim} d={lap.d} normalised=true"
     coords = [tuple(map(int, ln.split()[:2])) for ln in lines[1:]]
     assert coords == sorted(coords)
+
+
+def oracle_gate_laplacians():
+    """Acceptance-suite random sheaves (d in 1..3, every kind) and edge cases."""
+    kinds = ("connection", "trivial", "rand-edge", "rand-node")
+    for seed in range(50):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(4, 21))
+        d = int(rng.integers(1, 4))
+        g = random_graph(rng, n=n, p_feat=4, edge_prob=0.4)
+        yield sl.sheaf_laplacian(build_sheaf_by_kind(g, kinds[seed % 4], d, seed=seed), g)
+    isolated = sl.from_edge_list(6, [(0, 1), (1, 2), (0, 4)], np.zeros((6, 2)))  # 3, 5 isolated
+    no_edges = sl.from_edge_list(4, [], np.zeros((4, 2)))
+    single = sl.from_edge_list(1, [], np.zeros((1, 2)))
+    for g in (isolated, no_edges, single):
+        for d in (1, 2, 3):
+            yield sl.sheaf_laplacian(sl.trivial_sheaf(g, d), g)
+    yield sl.sheaf_laplacian(build_sheaf_by_kind(isolated, "rand-edge", 2, seed=1), isolated)
+    # d = 2 trivial sheaf: exact zeros inside every block
+    g = random_graph(np.random.default_rng(7), n=15, edge_prob=0.3)
+    yield sl.sheaf_laplacian(sl.trivial_sheaf(g, 2), g)
+
+
+@pytest.mark.parametrize("normalised", [False, True])
+def test_to_dense_matches_loop_oracle(normalised):
+    for lap in oracle_gate_laplacians():
+        lap = sl.normalise(lap) if normalised else lap
+        assert np.array_equal(lap.to_dense(), loop_to_dense(lap))
+
+
+@pytest.mark.parametrize("normalised", [False, True])
+def test_write_laplacian_coo_matches_loop_oracle(tmp_path, normalised):
+    new, old = tmp_path / "new.coo", tmp_path / "old.coo"
+    for lap in oracle_gate_laplacians():
+        lap = sl.normalise(lap) if normalised else lap
+        sl.write_laplacian_coo(lap, new)
+        loop_write_laplacian_coo(lap, old)
+        assert new.read_bytes() == old.read_bytes()

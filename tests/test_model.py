@@ -23,6 +23,7 @@ from sheaflab.model import (
     sheaf_layer,
     train,
 )
+from oracles import graph_laplacian
 
 
 def small_instance(seed, n=6, p=3, d=2, f=2, layers=2, activation="relu", kind="connection"):
@@ -356,7 +357,7 @@ def test_trivial_sheaf_d1_propagation_matches_normalised_graph_laplacian():
     delta = sl.normalise(sl.sheaf_laplacian(sl.trivial_sheaf(g, 1), g)).to_dense()
     deg = np.bincount(g.edges.ravel(), minlength=g.n).astype(float)
     droot = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 1.0)
-    expected = droot[:, None] * sl.graph_laplacian(g) * droot[None, :]
+    expected = droot[:, None] * graph_laplacian(g) * droot[None, :]
     assert_allclose(delta, expected, atol=1e-12)
     assert_allclose(np.eye(g.n) - delta, np.eye(g.n) - expected, atol=1e-12)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import sheaflab as sl
-from sheaflab.errors import GuardError
+from sheaflab.errors import DataError, GuardError
 from sheaflab.sheaf import TangentBasis
 from conftest import random_graph, random_orthonormal_basis
 
@@ -352,3 +352,77 @@ def test_sheaf_csv_round_trip(tmp_path):
     assert loaded.n == s.n and loaded.d == s.d
     assert_array_equal(loaded.edges, s.edges)
     assert np.array_equal(loaded.transports, s.transports)
+
+
+@pytest.mark.parametrize("kind", ["connection", "trivial", "rand-edge", "rand-node"])
+@pytest.mark.parametrize("edge_prob", [0.0, 0.5])
+def test_sheaf_csv_round_trip_every_kind(tmp_path, kind, edge_prob):
+    from sheaflab.model import build_sheaf_by_kind
+
+    g = random_graph(np.random.default_rng(15), n=9, edge_prob=edge_prob)
+    s = build_sheaf_by_kind(g, kind, 3, seed=2)
+    path = tmp_path / "sheaf.csv"
+    sl.write_sheaf_csv(s, path)
+    loaded = sl.read_sheaf_csv(path)
+    assert (loaded.n, loaded.d, loaded.kind) == (s.n, s.d, s.kind)
+    assert loaded.edges.dtype == np.int64 and loaded.edges.shape == s.edges.shape
+    assert_array_equal(loaded.edges, s.edges)
+    assert loaded.transports.shape == s.transports.shape
+    assert np.array_equal(loaded.transports, s.transports)
+
+
+class TestReadSheafCsvRejects:
+    """Malformed sheaf files raise DataError naming the 1-based line."""
+
+    ROWS = ["0,1,1.0,0.0,0.0,1.0", "0,2,0.0,1.0,1.0,0.0", "1,2,-1.0,0.0,0.0,1.0"]
+
+    def read(self, tmp_path, header="n=3,d=2,kind=trivial", rows=ROWS):
+        path = tmp_path / "sheaf.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return sl.read_sheaf_csv(path)
+
+    def test_valid_file_reads(self, tmp_path):
+        s = self.read(tmp_path)
+        assert_array_equal(s.edges, [[0, 1], [0, 2], [1, 2]])
+        assert_array_equal(s.transports[2], [[-1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "d=2,kind=trivial", "n=3,kind=trivial", "n=3,d=2",
+            "n=3,d=two,kind=x", "n=3,d=0,kind=x", "x",
+        ],
+    )
+    def test_header_missing_or_bad_field(self, tmp_path, header):
+        with pytest.raises(DataError, match="line 1:"):
+            self.read(tmp_path, header=header)
+
+    @pytest.mark.parametrize("row", ["0,1,1.0,0.0,0.0", "0,1,1.0,0.0,0.0,1.0,0.0", "0,1"])
+    def test_wrong_field_count(self, tmp_path, row):
+        with pytest.raises(DataError, match="line 3: expected 6 fields"):
+            self.read(tmp_path, rows=[self.ROWS[0], row.replace("0,1", "0,2", 1)])
+
+    @pytest.mark.parametrize("row", ["0,2,1.0,0.0,zero,1.0", "0,2.5,1,0,0,1", "x,2,1,0,0,1"])
+    def test_unparsable_field(self, tmp_path, row):
+        with pytest.raises(DataError, match="line 3:"):
+            self.read(tmp_path, rows=[self.ROWS[0], row])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,1,1,0,0,1", "2,1,1,0,0,1"],  # u > v
+            ["0,1,1,0,0,1", "2,2,1,0,0,1"],  # self-loop
+            ["0,1,1,0,0,1", "0,1,1,0,0,1"],  # repeated edge
+            ["0,2,1,0,0,1", "0,1,1,0,0,1"],  # out of order
+            ["0,1,1,0,0,1", "1,3,1,0,0,1"],  # endpoint >= n
+        ],
+    )
+    def test_non_canonical_edges(self, tmp_path, rows):
+        with pytest.raises(DataError, match="line 3: edge not canonical"):
+            self.read(tmp_path, rows=rows)
+
+    @pytest.mark.parametrize("entries", ["1,0,0,1.000001", "1,1,0,1", "nan,0,0,1", "2,0,0,0.5"])
+    def test_non_orthogonal_transport(self, tmp_path, entries):
+        rows = [self.ROWS[0], "0,2," + entries, self.ROWS[2]]
+        with pytest.raises(DataError, match="line 3: transport not orthogonal"):
+            self.read(tmp_path, rows=rows)
