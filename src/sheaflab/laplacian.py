@@ -108,7 +108,13 @@ def normalise(lap: BlockLaplacian) -> BlockLaplacian:
 
 
 def apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
-    """Block-sparse product L x for x of shape (nd,) or (nd, f)."""
+    """Block-sparse product L x for x of shape (nd,) or (nd, f).
+
+    The diagonal products come first; then each edge's (v, u) block and,
+    in a second pass, its mirrored transpose are scattered into the flat
+    output with a 1-D `np.add.at`, in edge order. Every output entry thus
+    sums the same terms in the same order as a block-by-block loop.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != lap.dim:
         raise ValueError(f"row count {x.shape[0]} does not match nd={lap.dim}")
@@ -116,9 +122,15 @@ def apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
     xb = (x[:, None] if vec else x).reshape(lap.n, lap.d, -1)
     out = np.matmul(lap.diag, xb)
     if lap.num_edges:
+        m, k = lap.num_edges, lap.d * xb.shape[2]
+        flat, offs = out.reshape(-1), np.arange(k)
         us, vs = lap.edges[:, 0], lap.edges[:, 1]
-        np.add.at(out, vs, np.matmul(lap.off, xb[us]))
-        np.add.at(out, us, np.matmul(np.transpose(lap.off, (0, 2, 1)), xb[vs]))
+        for blocks, src, dst in ((lap.off, us, vs), (np.transpose(lap.off, (0, 2, 1)), vs, us)):
+            prod = np.matmul(blocks, xb[src]).reshape(-1)
+            idx = np.multiply(dst[:, None], k, out=np.empty((m, k), dtype=np.intp))
+            idx += offs
+            np.add.at(flat, idx.ravel(), prod)
+            del prod, idx  # free before the mirrored pass allocates its own
     out = out.reshape(lap.dim, -1)
     return out[:, 0] if vec else out
 

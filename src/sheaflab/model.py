@@ -10,7 +10,10 @@ out of the flattened stalk state with a linear decoder. Because L never
 changes during training, backpropagation only has to traverse the weights;
 the layer adjoint reuses L itself through its symmetry.
 
-GCN and MLP baselines train through the same full-batch loop.
+GCN and MLP baselines train through the same full-batch loop. At dropout 0
+the evaluation forward that ends one epoch is the next epoch's training
+forward (same features, same weights), so each epoch after the first runs
+one forward; with dropout > 0 every epoch runs two.
 """
 
 from __future__ import annotations
@@ -484,13 +487,16 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0):
 
     history = {key: [] for key in EPOCH_KEYS}
     best_val, best_epoch, best_arrays, since_best = -1.0, 0, None, 0
+    evaluated = None  # (logits, cache) of the last evaluation forward
     for epoch in range(1, cfg.epochs + 1):
         tic = time.perf_counter()
-        feats = g.features
         if cfg.dropout > 0.0:
-            keep = rng.random(feats.shape) >= cfg.dropout
-            feats = feats * keep / (1.0 - cfg.dropout)
-        logits, cache = model.forward(feats)
+            keep = rng.random(g.features.shape) >= cfg.dropout
+            logits, cache = model.forward(g.features * keep / (1.0 - cfg.dropout))
+        elif evaluated is not None:
+            logits, cache = evaluated  # same features, same weights: no second forward
+        else:
+            logits, cache = model.forward(g.features)
         loss = cross_entropy(logits, labels, split.train)
         if not np.isfinite(loss):
             err = GuardError(f"{kind}: training loss is {loss} at epoch {epoch}")
@@ -499,7 +505,8 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0):
         grads = model.backward(cache, cross_entropy_grad(logits, labels, split.train))
         _step(model.arrays, grads, cfg, adam)
 
-        eval_logits, _ = model.forward(g.features)
+        evaluated = model.forward(g.features)
+        eval_logits = evaluated[0]
         masks = (split.train, split.val, split.test)
         tr, va, te = (accuracy(eval_logits, labels, m) for m in masks)
         for key, value in zip(EPOCH_KEYS, (epoch, loss, tr, va, te, time.perf_counter() - tic)):

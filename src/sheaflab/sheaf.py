@@ -29,6 +29,7 @@ _RANK_TOL = 1e-10      # relative cutoff below which a singular value is zero
 _GS_TOL = 1e-8         # Gram-Schmidt residual below this is near-dependent
 _SINGULAR_TOL = 1e-10  # cross-Gram smallest singular value: alignment flagged
 _ORTHO_TOL = 1e-10     # max |O^T O - I| a transport read from CSV may have
+_CSV_CHUNK = 4096      # edges per .tolist() in write_sheaf_csv; bounds its Python objects
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,12 +321,15 @@ def random_node_sheaf(g: Graph, d: int, seed: int) -> Sheaf:
 
 def write_sheaf_csv(s: Sheaf, path) -> None:
     """One record per edge: u, v, then d*d row-major transport entries."""
-    lines = [f"n={s.n},d={s.d},kind={s.kind}"]
-    for (u, v), o in zip(s.edges, s.transports):
-        entries = [repr(float(x)) for x in o.ravel()]
-        lines.append(",".join([str(int(u)), str(int(v))] + entries))
+    rows = s.transports.reshape(s.num_edges, s.d * s.d)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"n={s.n},d={s.d},kind={s.kind}\n")
+        for lo in range(0, s.num_edges, _CSV_CHUNK):
+            hi = lo + _CSV_CHUNK
+            fh.writelines(
+                f"{u},{v},{','.join(map(repr, row))}\n"
+                for (u, v), row in zip(s.edges[lo:hi].tolist(), rows[lo:hi].tolist())
+            )
 
 
 def read_sheaf_csv(path) -> Sheaf:

@@ -9,6 +9,9 @@ independent of the vectorised package code it checks:
 - `read_laplacian_coo`: a dense matrix back from a COO export;
 - `loop_to_dense` and `loop_write_laplacian_coo`: block-by-block versions
   of `BlockLaplacian.to_dense` and `write_laplacian_coo`;
+- `addat_apply`: `laplacian.apply` with one multi-dimensional `np.add.at`
+  of whole (d, f) blocks per pass;
+- `loop_write_sheaf_csv`: the per-edge version of `write_sheaf_csv`;
 - `all_pairs_synth_sbm`: the SBM sampler that draws all n(n-1)/2
   candidate pairs at once.
 """
@@ -158,6 +161,32 @@ def loop_write_laplacian_coo(lap: BlockLaplacian, path) -> None:
         fh.write(f"nd={lap.dim} d={lap.d} normalised={flag}\n")
         for i, j, val in entries:
             fh.write(f"{i} {j} {repr(val)}\n")
+
+
+def addat_apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
+    """Block-sparse product L x for x of shape (nd,) or (nd, f)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] != lap.dim:
+        raise ValueError(f"row count {x.shape[0]} does not match nd={lap.dim}")
+    vec = x.ndim == 1
+    xb = (x[:, None] if vec else x).reshape(lap.n, lap.d, -1)
+    out = np.matmul(lap.diag, xb)
+    if lap.num_edges:
+        us, vs = lap.edges[:, 0], lap.edges[:, 1]
+        np.add.at(out, vs, np.matmul(lap.off, xb[us]))
+        np.add.at(out, us, np.matmul(np.transpose(lap.off, (0, 2, 1)), xb[vs]))
+    out = out.reshape(lap.dim, -1)
+    return out[:, 0] if vec else out
+
+
+def loop_write_sheaf_csv(s: Sheaf, path) -> None:
+    """One record per edge: u, v, then d*d row-major transport entries."""
+    lines = [f"n={s.n},d={s.d},kind={s.kind}"]
+    for (u, v), o in zip(s.edges, s.transports):
+        entries = [repr(float(x)) for x in o.ravel()]
+        lines.append(",".join([str(int(u)), str(int(v))] + entries))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_laplacian_coo(path) -> tuple[np.ndarray, int, bool]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import sheaflab as sl
 from sheaflab.errors import GuardError
-from sheaflab.model import build_sheaf_by_kind
+from sheaflab.model import build_sheaf_by_kind, gcn_propagation_matrix
 from conftest import random_graph
 from oracles import (
+    addat_apply,
     coboundary,
     graph_laplacian,
     laplacian_from_coboundary,
@@ -328,3 +331,43 @@ def test_write_laplacian_coo_matches_loop_oracle(tmp_path, normalised):
         sl.write_laplacian_coo(lap, new)
         loop_write_laplacian_coo(lap, old)
         assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("normalised", [False, True])
+def test_apply_matches_addat_oracle(normalised):
+    rng = np.random.default_rng(5)
+    for lap in oracle_gate_laplacians():
+        lap = sl.normalise(lap) if normalised else lap
+        for shape in ((lap.dim,), (lap.dim, 1), (lap.dim, 3), (lap.dim, 8)):
+            x = rng.standard_normal(shape)
+            assert np.array_equal(sl.apply(lap, x), addat_apply(lap, x))
+
+
+def test_apply_gcn_operator_matches_addat_oracle():
+    rng = np.random.default_rng(6)
+    isolated = sl.from_edge_list(6, [(0, 1), (1, 2), (0, 4)], np.zeros((6, 2)))  # 3, 5 isolated
+    for g in (random_graph(rng, n=30, edge_prob=0.2), isolated):
+        prop = gcn_propagation_matrix(g)
+        for f in (2, 4, 32):
+            x = rng.standard_normal((prop.dim, f))
+            assert np.array_equal(sl.apply(prop, x), addat_apply(prop, x))
+
+
+def _apply_peak(fn, lap, x):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(lap, x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_apply_memory_peak_within_oracle():
+    # n = 4000 SBM as in the benchmark: d = 2, f = 8 connection Laplacian, GCN at f = 32
+    g = sl.synth_sbm(4000, 2, 14.4 / 4000, 3.6 / 4000, 4, 2.0, seed=1).graph
+    lap = sl.normalise(sl.sheaf_laplacian(sl.build_connection_sheaf(g, 2), g))
+    rng = np.random.default_rng(0)
+    for op, f in ((lap, 8), (gcn_propagation_matrix(g), 32)):
+        x = rng.standard_normal((op.dim, f))
+        assert _apply_peak(sl.apply, op, x) <= 1.05 * _apply_peak(addat_apply, op, x)

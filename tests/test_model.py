@@ -435,6 +435,27 @@ class TestTrain:
         ]
         assert losses[0] != losses[1]
 
+    @pytest.mark.parametrize("kind,dropout,forwards,applies", [
+        ("connection", 0.0, 5 + 2, 4 * 5 + 4),
+        ("gcn", 0.0, 0, 4 * 5 + 4),
+        ("connection", 0.3, 2 * 5 + 1, 6 * 5 + 2),
+    ], ids=["connection", "gcn", "connection-dropout"])
+    def test_forward_and_apply_calls(self, monkeypatch, kind, dropout, forwards, applies):
+        # 5 epochs at T = 2; at dropout 0 the evaluation forward doubles as the
+        # next epoch's training forward, so only epoch 1 runs a forward of its own
+        counts = {"forward": 0, "apply": 0}
+        for name in counts:
+            original = getattr(sl.model, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sl.model, name, counted)
+        cfg = TrainConfig(epochs=5, layers=2, patience=0, dropout=dropout, seed=0)
+        train(self._dataset(5), kind, cfg, 0)
+        assert counts == {"forward": forwards, "apply": applies}
+
     def test_unlabelled_dataset(self):
         ds = self._dataset()
         g = ds.graph

@@ -8,6 +8,7 @@ import sheaflab as sl
 from sheaflab.errors import DataError, GuardError
 from sheaflab.sheaf import TangentBasis
 from conftest import random_graph, random_orthonormal_basis
+from oracles import loop_write_sheaf_csv
 
 
 class TestNeighbourhoodWithPadding:
@@ -369,6 +370,30 @@ def test_sheaf_csv_round_trip_every_kind(tmp_path, kind, edge_prob):
     assert_array_equal(loaded.edges, s.edges)
     assert loaded.transports.shape == s.transports.shape
     assert np.array_equal(loaded.transports, s.transports)
+
+
+@pytest.mark.parametrize("kind", ["connection", "trivial", "rand-edge", "rand-node"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_write_sheaf_csv_matches_loop_oracle(tmp_path, monkeypatch, kind, d, chunk):
+    from sheaflab.model import build_sheaf_by_kind
+
+    if chunk is not None:  # several chunks per file, the last one partial
+        monkeypatch.setattr(sl.sheaf, "_CSV_CHUNK", chunk)
+    rng = np.random.default_rng(16)
+    graphs = (
+        random_graph(rng, n=12, edge_prob=0.4),
+        sl.from_edge_list(5, [], rng.standard_normal((5, 4))),  # m = 0
+        sl.from_edge_list(1, [], rng.standard_normal((1, 4))),  # n = 1
+    )
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    for g in graphs:
+        if kind == "connection" and g.n <= d:
+            continue  # padding needs n > d
+        s = build_sheaf_by_kind(g, kind, d, seed=3)
+        sl.write_sheaf_csv(s, new)
+        loop_write_sheaf_csv(s, old)
+        assert new.read_bytes() == old.read_bytes()
 
 
 class TestReadSheafCsvRejects:
