@@ -31,7 +31,6 @@ from .model import (
 )
 from .sheaf import (
     Sheaf,
-    TangentBasis,
     align,
     build_connection_sheaf,
     haar_orthogonal,

@@ -28,11 +28,13 @@ class Graph:
 
     def __post_init__(self):
         # adjacency in CSR form: the ascending neighbours of node i are
-        # _adjacent[_indptr[i]:_indptr[i + 1]]
+        # _adjacent[_indptr[i]:_indptr[i + 1]]; degrees[i] is their count
         heads = np.concatenate([self.edges[:, 0], self.edges[:, 1]]).astype(np.int64)
         tails = np.concatenate([self.edges[:, 1], self.edges[:, 0]]).astype(np.int64)
         self._adjacent = tails[np.lexsort((tails, heads))]
-        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=self.n))])
+        self.degrees = np.bincount(heads, minlength=self.n)
+        self._indptr = np.concatenate([[0], np.cumsum(self.degrees)])
+        self.degrees.setflags(write=False)
 
     @property
     def num_edges(self) -> int:
@@ -95,7 +97,7 @@ def one_hop_neighbourhood(g: Graph, i: int) -> np.ndarray:
 def degree(g: Graph, i: int) -> int:
     if not 0 <= i < g.n:
         raise ValueError(f"node index {i} out of range [0, {g.n})")
-    return int(g._indptr[i + 1] - g._indptr[i])
+    return int(g.degrees[i])
 
 
 def homophily(g: Graph, labels=None) -> float:

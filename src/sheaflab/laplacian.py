@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GuardError
 from .graph import Graph
-from .sheaf import Sheaf
+from .sheaf import _CSV_CHUNK, Sheaf
 
 DENSE_EIG_LIMIT = 5000  # nd beyond this refuses the dense eigensolver
 
@@ -81,9 +81,8 @@ def _entries(lap: BlockLaplacian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def sheaf_laplacian(s: Sheaf, g: Graph) -> BlockLaplacian:
     """Direct block assembly: deg(v) * I diagonal, minus-transport off-diagonal."""
     _check_match(s, g)
-    n, d, m = g.n, s.d, s.num_edges
-    deg = np.bincount(g.edges.ravel(), minlength=n).astype(np.float64)
-    diag = deg[:, None, None] * np.eye(d)[None, :, :]
+    n, d = g.n, s.d
+    diag = g.degrees.astype(np.float64)[:, None, None] * np.eye(d)[None, :, :]
     off = -s.transports.copy()
     return BlockLaplacian(n=n, d=d, edges=s.edges.copy(), diag=diag, off=off)
 
@@ -169,12 +168,15 @@ def write_laplacian_coo(lap: BlockLaplacian, path) -> None:
     nz = vals != 0.0
     rows, cols, vals = rows[nz], cols[nz], vals[nz]
     order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
     flag = "true" if lap.normalised else "false"
     with open(path, "w") as fh:
         fh.write(f"nd={lap.dim} d={lap.d} normalised={flag}\n")
-        fh.writelines(
-            f"{i} {j} {val!r}\n"
-            for i, j, val in zip(
-                rows[order].tolist(), cols[order].tolist(), vals[order].tolist()
+        for lo in range(0, vals.size, _CSV_CHUNK):
+            hi = lo + _CSV_CHUNK
+            fh.writelines(
+                f"{i} {j} {val!r}\n"
+                for i, j, val in zip(
+                    rows[lo:hi].tolist(), cols[lo:hi].tolist(), vals[lo:hi].tolist()
+                )
             )
-        )

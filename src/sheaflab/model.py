@@ -348,7 +348,7 @@ def gcn_propagation_matrix(g: Graph) -> BlockLaplacian:
     edge (u, v) holds 1/sqrt((deg_u+1)(deg_v+1)) (Kipf & Welling, 2017).
     It is applied with `apply`, like every sheaf Laplacian.
     """
-    scale = 1.0 / np.sqrt(np.bincount(g.edges.ravel(), minlength=g.n) + 1.0)
+    scale = 1.0 / np.sqrt(g.degrees + 1.0)
     us, vs = g.edges[:, 0], g.edges[:, 1]
     return BlockLaplacian(
         n=g.n,

@@ -1,12 +1,13 @@
 """Discrete O(d)-bundles over attributed graphs.
 
 The connection sheaf is built in two stages. First, every node gets an
-orthonormal tangent-space basis from a local PCA of its neighbours'
-centred feature vectors, where the neighbourhood is the 1-hop set padded
-with feature-space nearest non-neighbours whenever it is smaller than the
-stalk dimension. Second, each edge gets the orthogonal map that best
-aligns the two endpoint bases in Frobenius norm (the orthogonal Procrustes
-solution, the polar factor of the basis cross-Gram).
+orthonormal tangent-space basis, a (p, d) array, from a local PCA of its
+neighbours' centred feature vectors, where the neighbourhood is the 1-hop
+set padded with feature-space nearest non-neighbours whenever it is smaller
+than the stalk dimension; `Sheaf.bases` stacks them into one (n, p, d)
+array. Second, each edge gets the orthogonal map that best aligns the two
+endpoint bases in Frobenius norm (the orthogonal Procrustes solution, the
+polar factor of the basis cross-Gram); all edges share one batched SVD.
 
 Trivial and Haar-random bundles are provided as baselines. All
 constructions are deterministic functions of their inputs and seeds.
@@ -29,15 +30,7 @@ _RANK_TOL = 1e-10      # relative cutoff below which a singular value is zero
 _GS_TOL = 1e-8         # Gram-Schmidt residual below this is near-dependent
 _SINGULAR_TOL = 1e-10  # cross-Gram smallest singular value: alignment flagged
 _ORTHO_TOL = 1e-10     # max |O^T O - I| a transport read from CSV may have
-_CSV_CHUNK = 4096      # edges per .tolist() in write_sheaf_csv; bounds its Python objects
-
-
-@dataclass(frozen=True, eq=False)
-class TangentBasis:
-    """Orthonormal basis of the estimated tangent space at one node."""
-
-    node: int
-    basis: np.ndarray  # (p, d), orthonormal columns, sign-canonical
+_CSV_CHUNK = 4096      # rows per .tolist() in the text writers; bounds their Python objects
 
 
 @dataclass(frozen=True)
@@ -58,7 +51,7 @@ class Sheaf:
     kind: str                   # connection | trivial | rand-edge | rand-node
     edges: np.ndarray           # (m, 2), copied from the graph
     transports: np.ndarray      # (m, d, d); transports[e] maps u-stalk to v-stalk
-    bases: list[TangentBasis] | None = None
+    bases: np.ndarray | None = None  # (n, p, d) connection bases, sign-canonical
     diagnostics: BuildDiagnostics | None = None
 
     @property
@@ -111,8 +104,9 @@ def _complete_basis(cols: list[np.ndarray], p: int, d: int) -> list[np.ndarray]:
     return cols
 
 
-def _pca_basis(xhat: np.ndarray, d: int) -> tuple[np.ndarray, bool]:
-    """Top-d left singular basis of xhat (p x N), rank-completed and canonical."""
+def _pca_basis(features: np.ndarray, centre: int, neighbours, d: int):
+    """Canonical top-d PCA basis at `centre`, and whether it was rank-completed; unchecked."""
+    xhat = (features[neighbours] - features[centre]).T  # (p, N)
     p = xhat.shape[0]
     u, s, _ = np.linalg.svd(xhat, full_matrices=False)
     u = _sign_canonical(u)
@@ -152,52 +146,40 @@ def neighbourhood_with_padding(g: Graph, features, i: int, d: int) -> np.ndarray
     return np.concatenate([hop, pad])
 
 
-def local_pca(features, centre: int, neighbours, d: int) -> TangentBasis:
-    """Estimate a tangent basis at `centre` from centred neighbour features.
+def local_pca(features, centre: int, neighbours, d: int) -> np.ndarray:
+    """Estimate the (p, d) tangent basis at `centre` from centred neighbour features.
 
     Columns of the neighbour matrix are x_j - x_centre with identity
     weighting; the basis is the top-d left singular vectors, sign-canonical.
     If the centred matrix has rank below d the basis is completed
     deterministically from standard basis vectors.
     """
-    tb, _ = _local_pca(features, centre, neighbours, d)
-    return tb
-
-
-def _local_pca(features, centre, neighbours, d):
     features = np.asarray(features, dtype=np.float64)
-    p = features.shape[1]
-    if d > p:
+    if d > features.shape[1]:
         raise GuardError("stalk dimension exceeds feature dimension")
     neighbours = np.asarray(neighbours, dtype=np.int64)
     if neighbours.size == 0:
         raise ValueError("empty neighbour list")
     if neighbours.size < d:
         raise ValueError(f"need at least d={d} neighbours, got {neighbours.size}")
-    xhat = (features[neighbours] - features[centre]).T  # (p, N)
-    basis, completed = _pca_basis(xhat, d)
-    return TangentBasis(node=int(centre), basis=basis), completed
+    return _pca_basis(features, centre, neighbours, d)[0]
 
 
-def _polar(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orthogonal polar factor U V^T of m, plus its smallest singular value."""
+def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polar factors U V^T of a stack of matrices, plus their smallest singular values."""
     u, s, vt = np.linalg.svd(m)
-    smin = float(s[-1]) if s.size else 0.0
-    return u @ vt, smin
+    return np.matmul(u, vt), s[..., -1]
 
 
-def align(bi: TangentBasis, bj: TangentBasis) -> np.ndarray:
-    """Orthogonal map O minimising ||Bi O - Bj||_F (Procrustes polar factor)."""
-    if bi.basis.shape != bj.basis.shape:
-        raise ValueError(
-            f"dimension mismatch: {bi.basis.shape} vs {bj.basis.shape}"
-        )
-    o, _ = _polar(bi.basis.T @ bj.basis)
-    return o
+def align(bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
+    """Orthogonal O minimising ||Bi O - Bj||_F for (p, d) bases (Procrustes polar factor)."""
+    if bi.shape != bj.shape:
+        raise ValueError(f"dimension mismatch: {bi.shape} vs {bj.shape}")
+    return _polar(bi.T @ bj)[0]
 
 
-def transports_from_bases(edges: np.ndarray, bases: list[TangentBasis]):
-    """Per-edge u-to-v transport maps from per-node bases, plus a singular count.
+def transports_from_bases(edges: np.ndarray, bases: np.ndarray):
+    """Per-edge u-to-v transport maps from (n, p, d) node bases, plus a singular count.
 
     The transport stored for canonical edge (u, v) is the polar factor of
     B_v^T B_u. This orientation makes a change of basis B_i -> B_i Q_i act
@@ -205,15 +187,9 @@ def transports_from_bases(edges: np.ndarray, bases: list[TangentBasis]):
     conjugation of the assembled Laplacian, which keeps the spectrum
     gauge-invariant.
     """
-    m = edges.shape[0]
-    d = bases[0].basis.shape[1]
-    transports = np.empty((m, d, d), dtype=np.float64)
-    singular = 0
-    for e, (u, v) in enumerate(edges):
-        o, smin = _polar(bases[v].basis.T @ bases[u].basis)
-        singular += int(smin < _SINGULAR_TOL)
-        transports[e] = o
-    return transports, singular
+    cross = np.matmul(np.transpose(bases[edges[:, 1]], (0, 2, 1)), bases[edges[:, 0]])
+    transports, smin = _polar(cross)
+    return transports, int(np.count_nonzero(smin < _SINGULAR_TOL))
 
 
 def build_connection_sheaf(g: Graph, d: int) -> Sheaf:
@@ -231,18 +207,15 @@ def build_connection_sheaf(g: Graph, d: int) -> Sheaf:
     if g.n <= d:
         raise GuardError(f"cannot pad neighbourhoods: need n > d, got n={g.n}, d={d}")
 
-    padded = 0
-    completed_count = 0
-    bases: list[TangentBasis] = []
+    bases = np.empty((g.n, p, d), dtype=np.float64)
+    completed = 0
     for i in range(g.n):
         nbrs = neighbourhood_with_padding(g, g.features, i, d)
-        if one_hop_neighbourhood(g, i).size < d:
-            padded += 1
-        tb, completed = _local_pca(g.features, i, nbrs, d)
-        completed_count += int(completed)
-        bases.append(tb)
+        bases[i], flag = _pca_basis(g.features, i, nbrs, d)
+        completed += flag
 
     transports, singular = transports_from_bases(g.edges, bases)
+    padded = int(np.count_nonzero(g.degrees < d))
     return Sheaf(
         d=d,
         n=g.n,
@@ -250,7 +223,7 @@ def build_connection_sheaf(g: Graph, d: int) -> Sheaf:
         edges=g.edges.copy(),
         transports=transports,
         bases=bases,
-        diagnostics=BuildDiagnostics(padded, completed_count, singular),
+        diagnostics=BuildDiagnostics(padded, completed, singular),
     )
 
 
@@ -278,21 +251,23 @@ def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs
 
 
-def _edge_seed_streams(seed: int, count: int) -> list[np.random.Generator]:
-    # Counter-based sub-seed per item: draw order is independent of any
-    # parallel execution order.
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.default_rng(c) for c in children]
+def _haar_stack(d: int, seed: int, count: int) -> np.ndarray:
+    """`count` Haar matrices; item k comes from the k-th SeedSequence child of `seed`.
+
+    Counter-based sub-seeds make item k independent of `count` and of any
+    parallel execution order.
+    """
+    if d < 1:
+        raise ValueError("stalk dimension must be >= 1")
+    out = np.empty((count, d, d), dtype=np.float64)
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
+        out[k] = haar_orthogonal(d, np.random.default_rng(child))
+    return out
 
 
 def random_edge_sheaf(g: Graph, d: int, seed: int) -> Sheaf:
     """Independent Haar transport per edge, in canonical edge order."""
-    if d < 1:
-        raise ValueError("stalk dimension must be >= 1")
-    m = g.num_edges
-    transports = np.empty((m, d, d), dtype=np.float64)
-    for e, rng in enumerate(_edge_seed_streams(seed, m)):
-        transports[e] = haar_orthogonal(d, rng)
+    transports = _haar_stack(d, seed, g.num_edges)
     return Sheaf(d=d, n=g.n, kind="rand-edge", edges=g.edges.copy(), transports=transports)
 
 
@@ -301,22 +276,16 @@ def node_sheaf_from_matrices(g: Graph, matrices: np.ndarray) -> Sheaf:
     matrices = np.asarray(matrices, dtype=np.float64)
     if matrices.shape[0] != g.n:
         raise ValueError("need one matrix per node")
-    d = matrices.shape[1]
-    m = g.num_edges
-    transports = np.empty((m, d, d), dtype=np.float64)
-    for e, (u, v) in enumerate(g.edges):
-        transports[e] = matrices[u].T @ matrices[v]
-    return Sheaf(d=d, n=g.n, kind="rand-node", edges=g.edges.copy(), transports=transports)
+    us, vs = g.edges[:, 0], g.edges[:, 1]
+    transports = np.matmul(np.transpose(matrices[us], (0, 2, 1)), matrices[vs])
+    return Sheaf(
+        d=matrices.shape[1], n=g.n, kind="rand-node", edges=g.edges.copy(), transports=transports
+    )
 
 
 def random_node_sheaf(g: Graph, d: int, seed: int) -> Sheaf:
     """Haar matrix per node, transports composed from endpoint pairs."""
-    if d < 1:
-        raise ValueError("stalk dimension must be >= 1")
-    qs = np.empty((g.n, d, d), dtype=np.float64)
-    for i, rng in enumerate(_edge_seed_streams(seed, g.n)):
-        qs[i] = haar_orthogonal(d, rng)
-    return node_sheaf_from_matrices(g, qs)
+    return node_sheaf_from_matrices(g, _haar_stack(d, seed, g.n))
 
 
 def write_sheaf_csv(s: Sheaf, path) -> None:

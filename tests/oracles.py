@@ -12,6 +12,10 @@ independent of the vectorised package code it checks:
 - `addat_apply`: `laplacian.apply` with one multi-dimensional `np.add.at`
   of whole (d, f) blocks per pass;
 - `loop_write_sheaf_csv`: the per-edge version of `write_sheaf_csv`;
+- `loop_transports_from_bases` and `loop_node_sheaf_from_matrices`: one
+  SVD or matrix product per edge;
+- `loop_build_sheaf`: every sheaf kind with per-node bases, a per-node
+  padding count and one SeedSequence stream per Haar draw;
 - `all_pairs_synth_sbm`: the SBM sampler that draws all n(n-1)/2
   candidate pairs at once.
 """
@@ -23,9 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from sheaflab.data import Dataset, generate_splits
-from sheaflab.graph import Graph, from_edge_list
+from sheaflab.graph import Graph, from_edge_list, one_hop_neighbourhood
 from sheaflab.laplacian import BlockLaplacian, _check_match
-from sheaflab.sheaf import Sheaf
+from sheaflab.sheaf import (
+    _RANK_TOL,
+    _SINGULAR_TOL,
+    BuildDiagnostics,
+    Sheaf,
+    haar_orthogonal,
+    local_pca,
+    neighbourhood_with_padding,
+    trivial_sheaf,
+)
 
 
 @dataclass(eq=False)
@@ -187,6 +200,68 @@ def loop_write_sheaf_csv(s: Sheaf, path) -> None:
         lines.append(",".join([str(int(u)), str(int(v))] + entries))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def loop_transports_from_bases(edges: np.ndarray, bases):
+    """Polar factor of B_v^T B_u per canonical edge (u, v), plus a singular count."""
+    m = edges.shape[0]
+    d = bases[0].shape[1]
+    transports = np.empty((m, d, d), dtype=np.float64)
+    singular = 0
+    for e, (u, v) in enumerate(edges):
+        left, s, vt = np.linalg.svd(bases[v].T @ bases[u])
+        singular += int(s[-1] < _SINGULAR_TOL)
+        transports[e] = left @ vt
+    return transports, singular
+
+
+def loop_node_sheaf_from_matrices(g: Graph, matrices: np.ndarray) -> Sheaf:
+    """Flat bundle from per-node orthogonal matrices Q_i: edge (u, v) gets Q_u^T Q_v."""
+    matrices = np.asarray(matrices, dtype=np.float64)
+    d = matrices.shape[1]
+    m = g.num_edges
+    transports = np.empty((m, d, d), dtype=np.float64)
+    for e, (u, v) in enumerate(g.edges):
+        transports[e] = matrices[u].T @ matrices[v]
+    return Sheaf(d=d, n=g.n, kind="rand-node", edges=g.edges.copy(), transports=transports)
+
+
+def _loop_haar(d: int, seed: int, count: int) -> np.ndarray:
+    children = np.random.SeedSequence(seed).spawn(count)
+    out = np.empty((count, d, d), dtype=np.float64)
+    for k, child in enumerate(children):
+        out[k] = haar_orthogonal(d, np.random.default_rng(child))
+    return out
+
+
+def loop_build_sheaf(g: Graph, kind: str, d: int, seed: int) -> Sheaf:
+    """The sheaf of `kind`, with bases and diagnostics for a connection sheaf."""
+    if kind == "trivial":
+        return trivial_sheaf(g, d)
+    if kind == "rand-edge":
+        transports = _loop_haar(d, seed, g.num_edges)
+        return Sheaf(d=d, n=g.n, kind=kind, edges=g.edges.copy(), transports=transports)
+    if kind == "rand-node":
+        return loop_node_sheaf_from_matrices(g, _loop_haar(d, seed, g.n))
+    padded = completed = 0
+    bases = []
+    for i in range(g.n):
+        nbrs = neighbourhood_with_padding(g, g.features, i, d)
+        if one_hop_neighbourhood(g, i).size < d:
+            padded += 1
+        bases.append(local_pca(g.features, i, nbrs, d))
+        sv = np.linalg.svd((g.features[nbrs] - g.features[i]).T, compute_uv=False)
+        completed += int(np.sum(sv > _RANK_TOL * max(1.0, sv[0])) < d)
+    transports, singular = loop_transports_from_bases(g.edges, bases)
+    return Sheaf(
+        d=d,
+        n=g.n,
+        kind=kind,
+        edges=g.edges.copy(),
+        transports=transports,
+        bases=np.stack(bases),
+        diagnostics=BuildDiagnostics(padded, completed, singular),
+    )
 
 
 def read_laplacian_coo(path) -> tuple[np.ndarray, int, bool]:

@@ -334,6 +334,17 @@ def test_write_laplacian_coo_matches_loop_oracle(tmp_path, normalised):
 
 
 @pytest.mark.parametrize("normalised", [False, True])
+def test_write_laplacian_coo_chunked_matches_loop_oracle(tmp_path, monkeypatch, normalised):
+    monkeypatch.setattr(sl.laplacian, "_CSV_CHUNK", 7)  # several chunks, the last one partial
+    new, old = tmp_path / "new.coo", tmp_path / "old.coo"
+    for lap in oracle_gate_laplacians():
+        lap = sl.normalise(lap) if normalised else lap
+        sl.write_laplacian_coo(lap, new)
+        loop_write_laplacian_coo(lap, old)
+        assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("normalised", [False, True])
 def test_apply_matches_addat_oracle(normalised):
     rng = np.random.default_rng(5)
     for lap in oracle_gate_laplacians():
@@ -371,3 +382,19 @@ def test_apply_memory_peak_within_oracle():
     for op, f in ((lap, 8), (gcn_propagation_matrix(g), 32)):
         x = rng.standard_normal((op.dim, f))
         assert _apply_peak(sl.apply, op, x) <= 1.05 * _apply_peak(addat_apply, op, x)
+
+
+def test_write_laplacian_coo_memory_peak(tmp_path):
+    # the benchmark's n = 4000, d = 2 connection Laplacian; the Python objects
+    # of one chunk are small next to the (rows, cols, vals) entry arrays
+    g = sl.synth_sbm(4000, 2, 14.4 / 4000, 3.6 / 4000, 4, 2.0, seed=1).graph
+    lap = sl.normalise(sl.sheaf_laplacian(sl.build_connection_sheaf(g, 2), g))
+    entry_bytes = 3 * 8 * (lap.n + 2 * lap.num_edges) * lap.d ** 2
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sl.write_laplacian_coo(lap, tmp_path / "lap.coo")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * entry_bytes

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import sheaflab as sl
 from sheaflab.errors import DataError, GuardError
-from sheaflab.sheaf import TangentBasis
 from conftest import random_graph, random_orthonormal_basis
-from oracles import loop_write_sheaf_csv
+from oracles import loop_build_sheaf, loop_write_sheaf_csv
 
 
 class TestNeighbourhoodWithPadding:
@@ -54,7 +55,7 @@ class TestLocalPca:
     def test_rank_one_axis(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         tb = sl.local_pca(feats, 0, [1, 2], 1)
-        assert_allclose(tb.basis, [[1.0], [0.0]], atol=1e-14)
+        assert_allclose(tb, [[1.0], [0.0]], atol=1e-14)
 
     def test_equal_singular_values_tie_rule(self):
         # dense SVD oracle: columns of [[1,0],[0,1]] both carry singular
@@ -63,29 +64,29 @@ class TestLocalPca:
         tb = sl.local_pca(feats, 0, [1, 2], 2)
         u, s, _ = np.linalg.svd(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert_allclose(s, [1.0, 1.0], atol=1e-14)
-        assert_allclose(np.abs(np.linalg.det(tb.basis)), 1.0, atol=1e-12)
-        assert_allclose(tb.basis, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+        assert_allclose(np.abs(np.linalg.det(tb)), 1.0, atol=1e-12)
+        assert_allclose(tb, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
     def test_degenerate_neighbourhood_completed(self):
         feats = np.zeros((3, 2))
         tb = sl.local_pca(feats, 0, [1, 2], 1)
-        assert_allclose(tb.basis, [[1.0], [0.0]])
+        assert_allclose(tb, [[1.0], [0.0]])
 
     def test_rank_deficit_partial_completion(self):
         feats = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         tb = sl.local_pca(feats, 0, [1, 2], 2)
-        assert_allclose(tb.basis, np.eye(3)[:, :2], atol=1e-14)
+        assert_allclose(tb, np.eye(3)[:, :2], atol=1e-14)
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((10, 5))
         tb = sl.local_pca(feats, 0, np.arange(1, 10), 3)
-        assert_allclose(tb.basis.T @ tb.basis, np.eye(3), atol=1e-10)
+        assert_allclose(tb.T @ tb, np.eye(3), atol=1e-10)
 
     def test_sign_canonical(self):
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((8, 4))
-        basis = sl.local_pca(feats, 0, np.arange(1, 8), 2).basis
+        basis = sl.local_pca(feats, 0, np.arange(1, 8), 2)
         idx = np.argmax(np.abs(basis), axis=0)
         assert np.all(basis[idx, np.arange(2)] >= 0)
 
@@ -100,7 +101,7 @@ class TestLocalPca:
 
 class TestAlign:
     def test_identity_alignment(self):
-        b = TangentBasis(0, random_orthonormal_basis(np.random.default_rng(0), 5, 2))
+        b = random_orthonormal_basis(np.random.default_rng(0), 5, 2)
         assert_allclose(sl.align(b, b), np.eye(2), atol=1e-12)
 
     def test_rotation_recovered(self):
@@ -108,18 +109,18 @@ class TestAlign:
         rot = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
-        bi = TangentBasis(0, np.eye(2))
-        bj = TangentBasis(1, rot)
+        bi = np.eye(2)
+        bj = rot
         assert_allclose(sl.align(bi, bj), rot, atol=1e-12)
 
     def test_one_dimensional_sign(self):
-        bi = TangentBasis(0, np.array([[1.0], [0.0]]))
-        bj = TangentBasis(1, np.array([[1.0], [1.0]]) / np.sqrt(2))
+        bi = np.array([[1.0], [0.0]])
+        bj = np.array([[1.0], [1.0]]) / np.sqrt(2)
         assert_allclose(sl.align(bi, bj), [[1.0]], atol=1e-12)
 
     def test_dimension_mismatch(self):
-        bi = TangentBasis(0, np.eye(3)[:, :1])
-        bj = TangentBasis(1, np.eye(3)[:, :2])
+        bi = np.eye(3)[:, :1]
+        bj = np.eye(3)[:, :2]
         with pytest.raises(ValueError, match="mismatch"):
             sl.align(bi, bj)
 
@@ -127,31 +128,31 @@ class TestAlign:
     @given(st.integers(0, 10_000))
     def test_transpose_consistency(self, seed):
         rng = np.random.default_rng(seed)
-        bu = TangentBasis(0, random_orthonormal_basis(rng, 6, 3))
-        bv = TangentBasis(1, random_orthonormal_basis(rng, 6, 3))
-        cross = bu.basis.T @ bv.basis
+        bu = random_orthonormal_basis(rng, 6, 3)
+        bv = random_orthonormal_basis(rng, 6, 3)
+        cross = bu.T @ bv
         if np.linalg.cond(cross) >= 1e6:
             return
         assert_allclose(sl.align(bv, bu), sl.align(bu, bv).T, atol=1e-8)
 
     def test_procrustes_optimality(self):
         rng = np.random.default_rng(11)
-        bu = TangentBasis(0, random_orthonormal_basis(rng, 7, 3))
-        bv = TangentBasis(1, random_orthonormal_basis(rng, 7, 3))
+        bu = random_orthonormal_basis(rng, 7, 3)
+        bv = random_orthonormal_basis(rng, 7, 3)
         o = sl.align(bu, bv)
-        best = np.linalg.norm(bu.basis @ o - bv.basis)
+        best = np.linalg.norm(bu @ o - bv)
         for _ in range(100):
             q = sl.haar_orthogonal(3, rng)
-            assert best <= np.linalg.norm(bu.basis @ q - bv.basis) + 1e-9
+            assert best <= np.linalg.norm(bu @ q - bv) + 1e-9
 
     def test_gauge_covariance_row_sign_flip(self):
         rng = np.random.default_rng(12)
         bu = random_orthonormal_basis(rng, 6, 3)
         bv = random_orthonormal_basis(rng, 6, 3)
-        o = sl.align(TangentBasis(0, bu), TangentBasis(1, bv))
+        o = sl.align(bu, bv)
         flipped = bu.copy()
         flipped[:, 1] *= -1
-        o_flipped = sl.align(TangentBasis(0, flipped), TangentBasis(1, bv))
+        o_flipped = sl.align(flipped, bv)
         expected = o.copy()
         expected[1, :] *= -1
         assert_allclose(o_flipped, expected, atol=1e-10)
@@ -164,7 +165,7 @@ class TestBuildConnectionSheaf:
         feats = np.ones((4, 3))
         g = sl.from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], feats)
         s = sl.build_connection_sheaf(g, 2)
-        bases = np.stack([tb.basis for tb in s.bases])
+        bases = s.bases
         assert_allclose(bases, np.tile(bases[0], (4, 1, 1)), atol=1e-14)
         assert_allclose(s.transports, np.tile(np.eye(2), (6, 1, 1)), atol=1e-12)
 
@@ -175,7 +176,7 @@ class TestBuildConnectionSheaf:
         feats = pos[[0, 1, 0, 1]]
         g = sl.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)], feats)
         s = sl.build_connection_sheaf(g, 1)
-        bases = np.stack([tb.basis for tb in s.bases])
+        bases = s.bases
         assert_allclose(bases, np.tile([[0.6], [0.8]], (4, 1, 1)), atol=1e-12)
         assert_allclose(s.transports, np.ones((4, 1, 1)), atol=1e-12)
 
@@ -199,7 +200,7 @@ class TestBuildConnectionSheaf:
         s2 = sl.build_connection_sheaf(g, 2)
         assert np.array_equal(s1.transports, s2.transports)
         for a, b in zip(s1.bases, s2.bases):
-            assert np.array_equal(a.basis, b.basis)
+            assert np.array_equal(a, b)
 
     def test_global_rotation_isospectral(self):
         rng = np.random.default_rng(7)
@@ -218,10 +219,7 @@ class TestBuildConnectionSheaf:
         rng = np.random.default_rng(8)
         g = random_graph(rng, n=12, p_feat=5, edge_prob=0.4)
         s = sl.build_connection_sheaf(g, 3)
-        gauged = [
-            TangentBasis(tb.node, tb.basis @ sl.haar_orthogonal(3, rng))
-            for tb in s.bases
-        ]
+        gauged = np.stack([b @ sl.haar_orthogonal(3, rng) for b in s.bases])
         transports, _ = transports_from_bases(g.edges, gauged)
         s_gauged = sl.Sheaf(
             d=3, n=g.n, kind="connection", edges=g.edges.copy(), transports=transports
@@ -394,6 +392,76 @@ def test_write_sheaf_csv_matches_loop_oracle(tmp_path, monkeypatch, kind, d, chu
         sl.write_sheaf_csv(s, new)
         loop_write_sheaf_csv(s, old)
         assert new.read_bytes() == old.read_bytes()
+
+
+def oracle_gate_graphs():
+    """Criterion 02's random graphs, then isolated nodes, m = 0 and degenerate bases."""
+    for seed in range(50):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(4, 21))
+        rng.integers(1, 4)  # criterion 02 draws d here
+        yield random_graph(rng, n=n, p_feat=4, edge_prob=0.4)
+    rng = np.random.default_rng(17)
+    yield sl.from_edge_list(6, [(0, 1), (1, 2), (0, 4)], rng.standard_normal((6, 4)))  # 3, 5
+    yield sl.from_edge_list(5, [], rng.standard_normal((5, 4)))  # m = 0
+    # nodes 0, 1, 2 share one feature vector: bases at 0 and 1 are rank-completed
+    feats = rng.standard_normal((8, 4))
+    feats[1] = feats[2] = feats[0]
+    yield sl.from_edge_list(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (5, 6)], feats)
+    # at d = 1 node 1's basis is e_1 and node 0's is e_2: edge (0, 1) aligns singularly
+    feats = np.zeros((4, 4))
+    feats[[0, 2, 3], :2] = [[1.0, 0.0], [-1.0, 0.0], [1.0, 5.0]]
+    yield sl.from_edge_list(4, [(0, 1), (1, 2), (0, 3)], feats)
+
+
+@pytest.mark.parametrize("kind", ["connection", "trivial", "rand-edge", "rand-node"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_build_matches_loop_oracle(kind, d):
+    from sheaflab.model import build_sheaf_by_kind
+
+    totals = np.zeros(3, dtype=np.int64)
+    for seed, g in enumerate(oracle_gate_graphs()):
+        if g.n <= d:
+            continue
+        s = build_sheaf_by_kind(g, kind, d, seed=seed)
+        old = loop_build_sheaf(g, kind, d, seed)
+        assert np.array_equal(s.transports, old.transports)
+        assert s.transports.shape == (g.num_edges, d, d)
+        assert s.diagnostics == old.diagnostics
+        if kind == "connection":
+            assert s.bases.shape == (g.n, g.feature_dim, d)
+            assert np.array_equal(s.bases, old.bases)
+            totals += astuple(s.diagnostics)
+        else:
+            assert s.bases is None and old.bases is None
+    if kind == "connection":  # every degenerate branch was exercised
+        padded, completed, singular = totals
+        assert padded > 0 and completed > 0 and (singular > 0 or d > 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_haar_draws_use_per_item_seed_streams(d):
+    seed = 11
+    small = random_graph(np.random.default_rng(18), n=8, edge_prob=0.4)
+    large = random_graph(np.random.default_rng(19), n=14, edge_prob=0.5)
+    assert small.num_edges < large.num_edges
+
+    def draw(k):
+        child = np.random.SeedSequence(seed).spawn(k + 1)[k]
+        return sl.haar_orthogonal(d, np.random.default_rng(child))
+
+    for g in (small, large):
+        expected = np.stack([draw(k) for k in range(g.num_edges)])
+        assert np.array_equal(sl.random_edge_sheaf(g, d, seed).transports, expected)
+        qs = np.stack([draw(k) for k in range(g.n)])
+        expected = sl.node_sheaf_from_matrices(g, qs).transports
+        assert np.array_equal(sl.random_node_sheaf(g, d, seed).transports, expected)
+    # draw k does not depend on how many items the graph has
+    m = small.num_edges
+    assert np.array_equal(
+        sl.random_edge_sheaf(large, d, seed).transports[:m],
+        sl.random_edge_sheaf(small, d, seed).transports,
+    )
 
 
 class TestReadSheafCsvRejects:
