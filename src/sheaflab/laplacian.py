@@ -4,14 +4,26 @@ The Laplacian is stored block-sparse: n diagonal d x d blocks plus one
 off-diagonal block per canonical edge (u, v), holding the block at
 block-row v / block-column u; the mirrored block is its transpose. For an
 orthogonal sheaf the diagonal block at v is deg(v) * I and the stored
-off-diagonal block is minus the u-to-v transport. Matrix-vector products
-run block-sparse; spectra fall back to a dense symmetric eigensolver
-behind a size guard.
+off-diagonal block is minus the u-to-v transport. Spectra fall back to a
+dense symmetric eigensolver behind a size guard.
+
+`apply` runs block-sparse through a slot plan that it builds on an
+operator's first call and caches on it. The 2m off-diagonal contributions
+(each edge's (v, u) block in edge order, then the mirrored transposes in
+edge order) are stable-sorted by destination node; slot k holds every
+node's k-th contribution, so no destination repeats inside a slot. Slots
+smaller than `_MIN_SLOT` (a hub's long run) form one `np.add.at` tail.
+Every output entry thus sums the same terms in the same order as a
+block-by-block loop. Bitwise equality also needs each block product to
+take numpy's code path for the full-length product: the transposed blocks
+stay a transposed view of contiguous blocks (a contiguous copy takes
+another path at width 1). The plan copies the blocks, so an operator must
+not be mutated after its first `apply`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +32,7 @@ from .graph import Graph
 from .sheaf import _CSV_CHUNK, Sheaf
 
 DENSE_EIG_LIMIT = 5000  # nd beyond this refuses the dense eigensolver
+_MIN_SLOT = 256  # slots with fewer contributions join the np.add.at tail
 
 
 @dataclass(eq=False)
@@ -36,6 +49,7 @@ class BlockLaplacian:
     diag: np.ndarray        # (n, d, d)
     off: np.ndarray         # (m, d, d)
     normalised: bool = False
+    _plan: tuple | None = field(default=None, init=False, repr=False)  # see _slot_plan
 
     @property
     def dim(self) -> int:
@@ -106,13 +120,40 @@ def normalise(lap: BlockLaplacian) -> BlockLaplacian:
     )
 
 
+def _slot_plan(lap: BlockLaplacian) -> tuple[list[tuple], tuple]:
+    """(slots, tail) of the module docstring's plan.
+
+    Slots are in order, each sorted by destination; the tail is in slot
+    order. Each group is (blocks, sources, destinations) of its pass-1
+    items, then of its pass-2 items, whose blocks are transposed views.
+    """
+    m = lap.num_edges
+    us, vs = lap.edges[:, 0], lap.edges[:, 1]
+    dst = np.concatenate([vs, us])
+    order = np.argsort(dst, kind="stable")
+    counts = np.bincount(dst, minlength=lap.n)
+    rank = np.empty(2 * m, dtype=np.intp)
+    rank[order] = np.arange(2 * m) - (np.cumsum(counts) - counts)[dst[order]]
+    items = order[np.argsort(rank[order], kind="stable")]  # by slot, then destination
+    sizes = np.bincount(rank)  # non-increasing: slot k holds the nodes of degree > k
+    *slots, tail = np.split(items, np.cumsum(sizes[sizes >= _MIN_SLOT]))
+
+    def group(ix):
+        p1, p2 = ix[ix < m], ix[ix >= m] - m
+        return (
+            lap.off[p1], us[p1], vs[p1],
+            np.transpose(lap.off[p2], (0, 2, 1)), vs[p2], us[p2],
+        )
+
+    return [group(ix) for ix in slots], group(tail)
+
+
 def apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
     """Block-sparse product L x for x of shape (nd,) or (nd, f).
 
-    The diagonal products come first; then each edge's (v, u) block and,
-    in a second pass, its mirrored transpose are scattered into the flat
-    output with a 1-D `np.add.at`, in edge order. Every output entry thus
-    sums the same terms in the same order as a block-by-block loop.
+    The diagonal products come first, then one stacked block product and
+    one `out[dst] += ...` per slot of the operator's plan, then the tail's
+    1-D `np.add.at` (see the module docstring).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != lap.dim:
@@ -121,15 +162,18 @@ def apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
     xb = (x[:, None] if vec else x).reshape(lap.n, lap.d, -1)
     out = np.matmul(lap.diag, xb)
     if lap.num_edges:
-        m, k = lap.num_edges, lap.d * xb.shape[2]
+        if lap._plan is None:
+            lap._plan = _slot_plan(lap)
+        slots, tail = lap._plan
+        for b1, s1, d1, b2, s2, d2 in slots:
+            out[d1] += np.matmul(b1, xb[s1])
+            out[d2] += np.matmul(b2, xb[s2])
+        k = lap.d * xb.shape[2]
         flat, offs = out.reshape(-1), np.arange(k)
-        us, vs = lap.edges[:, 0], lap.edges[:, 1]
-        for blocks, src, dst in ((lap.off, us, vs), (np.transpose(lap.off, (0, 2, 1)), vs, us)):
-            prod = np.matmul(blocks, xb[src]).reshape(-1)
-            idx = np.multiply(dst[:, None], k, out=np.empty((m, k), dtype=np.intp))
+        for blocks, src, dst in (tail[:3], tail[3:]):
+            idx = np.multiply(dst[:, None], k, out=np.empty((dst.size, k), dtype=np.intp))
             idx += offs
-            np.add.at(flat, idx.ravel(), prod)
-            del prod, idx  # free before the mirrored pass allocates its own
+            np.add.at(flat, idx.ravel(), np.matmul(blocks, xb[src]).reshape(-1))
     out = out.reshape(lap.dim, -1)
     return out[:, 0] if vec else out
 

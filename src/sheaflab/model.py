@@ -409,16 +409,22 @@ class MlpModel:
 
 
 class GcnModel:
-    """Two GCN layers, act(P X W1) then P H W2; `params` is the list [W1, W2]."""
+    """Two GCN layers, act(P X W1) then P H W2; `params` is the list [W1, W2].
+
+    P X is kept for the last features array, which must not be mutated.
+    """
 
     def __init__(self, prop: BlockLaplacian, arrays, activation: str):
         self.prop = prop
         self.params = self.arrays = arrays
         self.activation = activation
+        self._propagated = (None, None)  # (features, P features)
 
     def forward(self, features):
         w1, w2 = self.arrays
-        pre = gcn_forward(self.prop, features, w1, "identity")
+        if self._propagated[0] is not features:
+            self._propagated = (features, apply(self.prop, features))
+        pre = self._propagated[1] @ w1
         hidden = _act(pre, self.activation)
         return gcn_forward(self.prop, hidden, w2, "identity"), (features, pre, hidden)
 

@@ -364,6 +364,63 @@ def test_apply_gcn_operator_matches_addat_oracle():
             assert np.array_equal(sl.apply(prop, x), addat_apply(prop, x))
 
 
+def star_laplacians():
+    """Hub graphs: a pure star, and a star whose 1,200 leaves also form a sparse random graph."""
+    rng = np.random.default_rng(8)
+    n = 1201
+    star = sl.from_edge_list(n, [(0, v) for v in range(1, n)], np.zeros((n, 2)))
+    raw = [(0, v) for v in range(1, n)]
+    raw += [tuple(e) for e in rng.integers(1, n, size=(3 * n, 2)) if e[0] != e[1]]
+    hub = sl.from_edge_list(n, raw, np.zeros((n, 2)))
+    for g in (star, hub):
+        yield gcn_propagation_matrix(g)
+        for d in (1, 2, 3):
+            yield sl.sheaf_laplacian(build_sheaf_by_kind(g, "rand-edge", d, seed=d), g)
+
+
+@pytest.mark.parametrize("min_slot", [1, 4, None], ids=["slots-only", "slots-and-tail", "default"])
+def test_apply_slot_plan_matches_addat_oracle(monkeypatch, min_slot):
+    # _MIN_SLOT = 1 puts every contribution in a slot; 4 sends the small slots of the gate
+    # graphs to the np.add.at tail; the default sends everything but the large slots there
+    if min_slot is not None:
+        monkeypatch.setattr(sl.laplacian, "_MIN_SLOT", min_slot)
+    rng = np.random.default_rng(9)
+    for lap in (*oracle_gate_laplacians(), *star_laplacians()):
+        for op in (lap, sl.normalise(lap)):
+            for shape in ((op.dim,), (op.dim, 1), (op.dim, 3), (op.dim, 8)):
+                x = rng.standard_normal(shape)
+                assert np.array_equal(sl.apply(op, x), addat_apply(op, x))
+
+
+def test_slot_plan_structure():
+    for lap in star_laplacians():
+        slots, tail = sl.laplacian._slot_plan(lap)
+        assert 1 <= len(slots) <= -(-2 * lap.num_edges // sl.laplacian._MIN_SLOT)
+        sizes = [d1.size + d2.size for _, _, d1, _, _, d2 in slots]
+        assert min(sizes) >= sl.laplacian._MIN_SLOT and sizes == sorted(sizes, reverse=True)
+        assert sum(sizes) + tail[2].size + tail[5].size == 2 * lap.num_edges
+        for b1, s1, d1, b2, s2, d2 in slots:
+            dst = np.concatenate([d1, d2])
+            assert np.unique(dst).size == dst.size  # destinations are distinct inside a slot
+            # pass-2 blocks are a transposed view of contiguous blocks
+            assert b1.flags.c_contiguous and b2.base.flags.c_contiguous
+            assert not b2.flags.c_contiguous or lap.d == 1
+        assert tail[2].size + tail[5].size >= lap.n - 1 - sl.laplacian._MIN_SLOT  # the hub's
+
+
+def test_slot_plan_is_built_on_first_apply_and_cached(monkeypatch):
+    g = random_graph(np.random.default_rng(10), n=30, edge_prob=0.2)
+    lap = sl.sheaf_laplacian(sl.trivial_sheaf(g, 2), g)
+    built = []
+    original = sl.laplacian._slot_plan
+    monkeypatch.setattr(sl.laplacian, "_slot_plan", lambda op: built.append(op) or original(op))
+    assert lap._plan is None
+    x = np.ones(lap.dim)
+    sl.apply(lap, x)
+    sl.apply(lap, x[:, None])
+    assert built == [lap] and lap._plan is not None
+
+
 def _apply_peak(fn, lap, x):
     tracemalloc.start()
     try:

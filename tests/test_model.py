@@ -23,6 +23,7 @@ from sheaflab.model import (
     sheaf_layer,
     train,
 )
+from conftest import random_graph
 from oracles import graph_laplacian
 
 
@@ -330,6 +331,22 @@ class TestGcnMlp:
         prop = gcn_propagation_matrix(g)
         assert_array_equal(sl.gcn_forward(prop, h, np.zeros((4, 2))), np.zeros((3, 2)))
 
+    def test_gcn_propagates_each_features_object_once(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        g = random_graph(rng, n=12, edge_prob=0.3)
+        prop = gcn_propagation_matrix(g)
+        ws = [rng.standard_normal((4, 5)), rng.standard_normal((5, 3))]
+        model = GcnModel(prop, ws, "relu")
+        x = g.features
+        expected = sl.gcn_forward(prop, sl.gcn_forward(prop, x, ws[0], "relu"), ws[1], "identity")
+        calls = []
+        monkeypatch.setattr(sl.model, "apply", lambda *a: calls.append(1) or sl.apply(*a))
+        for _ in range(2):
+            assert_array_equal(model.forward(x)[0], expected)
+        assert len(calls) == 3  # P X once, P H per forward
+        assert_array_equal(model.forward(x.copy())[0], expected)  # a new object: P X again
+        assert len(calls) == 5
+
     def test_mlp_zero_weights_uniform(self):
         feats = np.random.default_rng(1).standard_normal((5, 3))
         logits = sl.mlp_forward(feats, [np.zeros((3, 4)), np.zeros((4, 2))])
@@ -437,12 +454,16 @@ class TestTrain:
 
     @pytest.mark.parametrize("kind,dropout,forwards,applies", [
         ("connection", 0.0, 5 + 2, 4 * 5 + 4),
-        ("gcn", 0.0, 0, 4 * 5 + 4),
+        ("gcn", 0.0, 0, 3 * 5 + 3),
         ("connection", 0.3, 2 * 5 + 1, 6 * 5 + 2),
-    ], ids=["connection", "gcn", "connection-dropout"])
+        ("gcn", 0.3, 0, 6 * 5 + 1),
+    ], ids=["connection", "gcn", "connection-dropout", "gcn-dropout"])
     def test_forward_and_apply_calls(self, monkeypatch, kind, dropout, forwards, applies):
         # 5 epochs at T = 2; at dropout 0 the evaluation forward doubles as the
-        # next epoch's training forward, so only epoch 1 runs a forward of its own
+        # next epoch's training forward, so only epoch 1 runs a forward of its own.
+        # GCN propagates a features array once: at dropout 0 every forward after the
+        # first reuses P X; with dropout every training and evaluation forward sees a
+        # new array, and only the final best-weights forward reuses the last P X
         counts = {"forward": 0, "apply": 0}
         for name in counts:
             original = getattr(sl.model, name)
@@ -455,6 +476,18 @@ class TestTrain:
         cfg = TrainConfig(epochs=5, layers=2, patience=0, dropout=dropout, seed=0)
         train(self._dataset(5), kind, cfg, 0)
         assert counts == {"forward": forwards, "apply": applies}
+
+    @pytest.mark.parametrize("kind", ["connection", "gcn"])
+    def test_one_slot_plan_per_train(self, monkeypatch, kind):
+        built, original = [], sl.laplacian._slot_plan
+
+        def counted(op):
+            built.append(op)
+            return original(op)
+
+        monkeypatch.setattr(sl.laplacian, "_slot_plan", counted)
+        train(self._dataset(5), kind, TrainConfig(epochs=5, patience=0, seed=0), 0)
+        assert len(built) == 1
 
     def test_unlabelled_dataset(self):
         ds = self._dataset()
