@@ -15,17 +15,16 @@ from .laplacian import (
 )
 from .model import (
     ForwardCache,
-    ModelParams,
     TrainConfig,
     accuracy,
     backward,
+    build_operator,
     cross_entropy,
     cross_entropy_grad,
     encode,
     forward,
     gcn_forward,
     init_params,
-    mlp_forward,
     sheaf_layer,
     train,
 )

@@ -11,15 +11,16 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from .data import load_dataset, save_dataset, synth_sbm
 from .errors import DataError, GuardError
 from .graph import homophily
-from .laplacian import normalise, sheaf_laplacian, spectrum
-from .model import EPOCH_KEYS, SHEAF_KINDS, TrainConfig, build_sheaf_by_kind, train
-from .model import config_field_types
+from .laplacian import spectrum
+from .model import EPOCH_KEYS, SHEAF_KINDS, TrainConfig, build_operator, build_sheaf_by_kind
+from .model import config_field_types, train
 from .sheaf import BuildDiagnostics, write_sheaf_csv
 
 EXIT_OK = 0
@@ -80,7 +81,6 @@ def cmd_build_sheaf(args) -> int:
     sheaf = build_sheaf_by_kind(ds.graph, args.kind, args.d, args.seed)
     build_seconds = time.perf_counter() - t0
     write_sheaf_csv(sheaf, args.out)
-    diag = sheaf.diagnostics or BuildDiagnostics()
     _emit(
         {
             "command": "build-sheaf",
@@ -88,9 +88,7 @@ def cmd_build_sheaf(args) -> int:
             "d": args.d,
             "n": sheaf.n,
             "edges": sheaf.num_edges,
-            "padded_nodes": diag.padded_nodes,
-            "rank_completed_bases": diag.rank_completed_bases,
-            "singular_alignments": diag.singular_alignments,
+            **asdict(sheaf.diagnostics or BuildDiagnostics()),
             "build_seconds": build_seconds,
             "out": args.out,
         }
@@ -103,9 +101,9 @@ def _emit_epochs(history: dict) -> None:
         _emit(dict(zip(EPOCH_KEYS, values)))
 
 
-def _train_one(ds, kind, cfg, split_index, emit_epochs=True):
+def _train_one(ds, kind, cfg, split_index, built, emit_epochs=True):
     try:
-        _, history = train(ds, kind, cfg, split_index)
+        _, history = train(ds, kind, cfg, split_index, built)
     except GuardError as exc:
         # a run the guard stopped still reports the epochs it finished
         if emit_epochs and exc.history is not None:
@@ -128,9 +126,10 @@ def cmd_train(args) -> int:
         except ValueError as exc:
             raise UsageError(f"bad split value: {args.split}") from exc
 
+    built = build_operator(ds.graph, kind, cfg)  # one build for every split
     accs = []
     for index in indices:
-        history = _train_one(ds, kind, cfg, index, emit_epochs=len(indices) == 1)
+        history = _train_one(ds, kind, cfg, index, built, emit_epochs=len(indices) == 1)
         accs.append(history["test_acc_at_best"])
         _emit(
             {
@@ -142,6 +141,7 @@ def cmd_train(args) -> int:
                 "test_acc_at_best": history["test_acc_at_best"],
                 "sheaf_build_seconds": history["sheaf_build_seconds"],
                 "mean_epoch_seconds": history["mean_epoch_seconds"],
+                **history["diagnostics"],
             }
         )
     if len(indices) > 1:
@@ -160,8 +160,7 @@ def cmd_train(args) -> int:
 
 def cmd_spectrum(args) -> int:
     ds = load_dataset(args.dataset)
-    sheaf = build_sheaf_by_kind(ds.graph, args.kind, args.d, args.seed)
-    lap = normalise(sheaf_laplacian(sheaf, ds.graph))
+    lap, _, _ = build_operator(ds.graph, args.kind, TrainConfig(d=args.d, seed=args.seed))
     eigs = spectrum(lap)
     with open(args.out, "w") as fh:
         fh.write("eigenvalue\n")
@@ -200,6 +199,7 @@ def cmd_bench(args) -> int:
             "sheaf_build_seconds": history["sheaf_build_seconds"],
             "mean_epoch_seconds": float(secs.mean()),
             "std_epoch_seconds": float(secs.std(ddof=1)),
+            **history["diagnostics"],
         }
     )
     return EXIT_OK

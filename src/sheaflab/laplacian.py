@@ -208,11 +208,18 @@ def euler_diffusion(lap: BlockLaplacian, x0: np.ndarray, steps: int) -> np.ndarr
 
 def write_laplacian_coo(lap: BlockLaplacian, path) -> None:
     """Sorted 'i j value' triplets of the nonzero entries, with a size header."""
+    # rebinding one array at a time frees each full-length input as its copy lands
     rows, cols, vals = _entries(lap)
     nz = vals != 0.0
-    rows, cols, vals = rows[nz], cols[nz], vals[nz]
+    rows = rows[nz]
+    cols = cols[nz]
+    vals = vals[nz]
+    del nz
     order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    rows = rows[order]
+    cols = cols[order]
+    vals = vals[order]
+    del order
     flag = "true" if lap.normalised else "false"
     with open(path, "w") as fh:
         fh.write(f"nd={lap.dim} d={lap.d} normalised={flag}\n")

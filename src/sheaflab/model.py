@@ -10,7 +10,10 @@ out of the flattened stalk state with a linear decoder. Because L never
 changes during training, backpropagation only has to traverse the weights;
 the layer adjoint reuses L itself through its symmetry.
 
-GCN and MLP baselines train through the same full-batch loop. At dropout 0
+`build_operator` builds any kind's fixed operator once. Every model keeps
+its weights in a flat list `arrays`, with `forward(features) -> (logits,
+cache)` and `backward(cache, dlogits)` returning gradients in that order,
+so GCN and MLP baselines train through the same full-batch loop. At dropout 0
 the evaluation forward that ends one epoch is the next epoch's training
 forward (same features, same weights), so each epoch after the first runs
 one forward; with dropout > 0 every epoch runs two.
@@ -19,7 +22,7 @@ one forward; with dropout > 0 every epoch runs two.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .errors import GuardError
 from .graph import Graph
 from .laplacian import BlockLaplacian, apply, normalise, sheaf_laplacian
 from .sheaf import (
+    BuildDiagnostics,
     Sheaf,
     build_connection_sheaf,
     random_edge_sheaf,
@@ -82,36 +86,9 @@ def config_field_types() -> dict[str, type]:
 
 
 @dataclass
-class ModelParams:
-    """Weights of the diffusion classifier.
-
-    `layers` holds one (W1: d x d, W2: f x f) pair per step, or a single
-    shared pair when the weights are tied; `steps` is the number of
-    diffusion applications either way.
-    """
-
-    w_in: np.ndarray                              # (d*f, p)
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    w_out: np.ndarray                             # (C, d*f)
-    steps: int
-    activation: str = "relu"
-
-    def layer_at(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.layers[t % len(self.layers)]
-
-
-@dataclass
-class ParamGradients:
-    w_in: np.ndarray
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    w_out: np.ndarray
-
-
-@dataclass
 class ForwardCache:
     """Per-layer tensors retained for the backward pass."""
 
-    params: ModelParams
     features: np.ndarray
     xs: list[np.ndarray] = field(default_factory=list)     # T+1 states, (n, d, f)
     lins: list[np.ndarray] = field(default_factory=list)   # (I kron W1) X_t, per layer
@@ -171,26 +148,24 @@ def _sheaf_layer_cached(lap, x, w1, w2, activation):
     return x_next, lin, pre
 
 
-def forward(
-    params: ModelParams, lap: BlockLaplacian, features: np.ndarray
-) -> tuple[np.ndarray, ForwardCache]:
+def forward(model: DiffusionModel, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Logits (n, C) plus the cache needed for backward()."""
+    lap, ws = model.lap, model.arrays
     n = features.shape[0]
-    d = params.layers[0][0].shape[0]
+    d = ws[1].shape[0]
     if lap.n != n or lap.d != d:
-        raise ValueError("Laplacian shape does not match features/params")
-    x = encode(features, params.w_in, d)
-    cache = ForwardCache(params=params, features=features)
+        raise ValueError("Laplacian shape does not match features/weights")
+    x = encode(features, ws[0], d)
+    cache = ForwardCache(features=features)
     cache.xs.append(x)
-    for t in range(params.steps):
-        w1, w2 = params.layer_at(t)
-        x, lin, pre = _sheaf_layer_cached(lap, x, w1, w2, params.activation)
+    for t in range(model.steps):
+        k = model.pair_index(t)
+        x, lin, pre = _sheaf_layer_cached(lap, x, ws[k], ws[k + 1], model.activation)
         cache.lins.append(lin)
         cache.pres.append(pre)
         cache.xs.append(x)
     cache.z_out = x.reshape(n, -1)
-    logits = cache.z_out @ params.w_out.T
-    return logits, cache
+    return cache.z_out @ ws[-1].T, cache
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
@@ -224,59 +199,39 @@ def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray, mask) -> np.ndarr
 
 
 def backward(
-    cache: ForwardCache, logits_grad: np.ndarray, lap: BlockLaplacian
-) -> ParamGradients:
-    """Exact gradients of every weight, treating the Laplacian as a constant.
+    model: DiffusionModel, cache: ForwardCache, logits_grad: np.ndarray
+) -> list[np.ndarray]:
+    """Exact gradients of every weight, in `model.arrays` order.
 
-    The layer adjoint applies L itself in place of L^T (symmetry); the relu
-    adjoint uses the cached pre-activation signs.
+    The Laplacian is a constant: the layer adjoint applies L itself in place
+    of L^T (symmetry), and the relu adjoint uses the cached pre-activation
+    signs.
     """
-    params = cache.params
-    if len(cache.pres) != params.steps or cache.z_out is None:
+    if len(cache.pres) != model.steps or cache.z_out is None:
         raise ValueError("stale or incomplete forward cache")
+    ws = model.arrays
     n = cache.features.shape[0]
-    d = params.layers[0][0].shape[0]
+    d = ws[1].shape[0]
 
-    dw_out = logits_grad.T @ cache.z_out
-    g = (logits_grad @ params.w_out).reshape(n * d, -1)
+    grads = [np.zeros_like(w) for w in ws]  # tied steps accumulate into one pair
+    grads[-1] = logits_grad.T @ cache.z_out
+    g = (logits_grad @ ws[-1]).reshape(n * d, -1)
 
-    dlayers = [
-        (np.zeros_like(w1), np.zeros_like(w2)) for (w1, w2) in params.layers
-    ]
-    for t in reversed(range(params.steps)):
-        w1, w2 = params.layer_at(t)
-        slot = t % len(params.layers)
+    for t in reversed(range(model.steps)):
+        k = model.pair_index(t)
         pre = cache.pres[t]
         lin = cache.lins[t]
         xb = cache.xs[t].reshape(n, d, -1)
 
-        d_pre = -g * _act_grad(pre, params.activation)
-        d_mid = apply(lap, d_pre)                         # L^T = L
-        dw1_acc, dw2_acc = dlayers[slot]
-        dw2_acc += lin.reshape(n * d, -1).T @ d_mid
-        d_lin = d_mid.reshape(n, d, -1) @ w2.T
-        dw1_acc += np.einsum("nif,njf->ij", d_lin, xb)
-        g = g + np.matmul(w1.T, d_lin).reshape(n * d, -1)
+        d_pre = -g * _act_grad(pre, model.activation)
+        d_mid = apply(model.lap, d_pre)                   # L^T = L
+        grads[k + 1] += lin.reshape(n * d, -1).T @ d_mid
+        d_lin = d_mid.reshape(n, d, -1) @ ws[k + 1].T
+        grads[k] += np.einsum("nif,njf->ij", d_lin, xb)
+        g = g + np.matmul(ws[k].T, d_lin).reshape(n * d, -1)
 
-    dz0 = g.reshape(n, -1)
-    dw_in = dz0.T @ cache.features
-    return ParamGradients(w_in=dw_in, layers=dlayers, w_out=dw_out)
-
-
-def param_arrays(params: ModelParams) -> list[np.ndarray]:
-    arrs = [params.w_in]
-    for w1, w2 in params.layers:
-        arrs.extend([w1, w2])
-    arrs.append(params.w_out)
-    return arrs
-
-
-def grad_arrays(grads: ParamGradients) -> list[np.ndarray]:
-    arrs = [grads.w_in]
-    for g1, g2 in grads.layers:
-        arrs.extend([g1, g2])
-    arrs.append(grads.w_out)
-    return arrs
+    grads[0] = g.reshape(n, -1).T @ cache.features
+    return grads
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -286,20 +241,18 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 def init_params(
     cfg: TrainConfig, feature_dim: int, n_classes: int, rng: np.random.Generator
-) -> ModelParams:
-    """Seeded uniform(-a, a) with a = sqrt(1/fan_in), drawn in a fixed order."""
+) -> list[np.ndarray]:
+    """[W_in, W1_0, W2_0, ..., W_out], seeded uniform(-a, a) with a = sqrt(1/fan_in).
+
+    The arrays are drawn in list order. Tied weights give a single
+    (W1: d x d, W2: f x f) pair; otherwise there is one pair per step.
+    """
     d, f = cfg.d, cfg.f
-    w_in = _uniform(rng, (d * f, feature_dim), feature_dim)
-    n_pairs = 1 if cfg.tied_weights else cfg.layers
-    layer_ws = [(_uniform(rng, (d, d), d), _uniform(rng, (f, f), f)) for _ in range(n_pairs)]
-    w_out = _uniform(rng, (n_classes, d * f), d * f)
-    return ModelParams(
-        w_in=w_in,
-        layers=layer_ws,
-        w_out=w_out,
-        steps=cfg.layers,
-        activation=cfg.activation,
-    )
+    arrays = [_uniform(rng, (d * f, feature_dim), feature_dim)]
+    for _ in range(1 if cfg.tied_weights else cfg.layers):
+        arrays += [_uniform(rng, (d, d), d), _uniform(rng, (f, f), f)]
+    arrays.append(_uniform(rng, (n_classes, d * f), d * f))
+    return arrays
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
@@ -366,35 +319,35 @@ def gcn_forward(
     return _act(apply(prop, h) @ w, activation)
 
 
-def mlp_forward(features: np.ndarray, weights, activation: str = "relu") -> np.ndarray:
-    """Two-layer perceptron logits; no graph access."""
-    return MlpModel(weights, activation).forward(features)[0]
-
-
 # ---------------------------------------------------------------------------
-# models: parameter `arrays`, forward(features) -> (logits, cache), and
-# backward(cache, dlogits) -> gradients in the order of `arrays`
+# models
 
 class DiffusionModel:
-    """The sheaf diffusion classifier against one fixed Laplacian."""
+    """The diffusion classifier against one fixed Laplacian; `arrays` is from `init_params`.
 
-    def __init__(self, params: ModelParams, lap: BlockLaplacian):
-        self.params, self.lap = params, lap
-        self.arrays = param_arrays(params)
+    All `steps` layers share the (W1, W2) pair when there is only one (tied weights).
+    """
+
+    def __init__(self, lap: BlockLaplacian, arrays, steps: int, activation: str):
+        self.lap, self.arrays = lap, arrays
+        self.steps, self.activation = steps, activation
+
+    def pair_index(self, t: int) -> int:
+        """Index of step t's W1 in `arrays`; its W2 follows."""
+        return 1 + 2 * (t % (len(self.arrays) // 2 - 1))
 
     def forward(self, features):
-        return forward(self.params, self.lap, features)
+        return forward(self, features)
 
     def backward(self, cache, dlogits):
-        return grad_arrays(backward(cache, dlogits, self.lap))
+        return backward(self, cache, dlogits)
 
 
 class MlpModel:
-    """Two-layer perceptron act(X W1) W2; `params` is the list [W1, W2]."""
+    """Two-layer perceptron act(X W1) W2; `arrays` is the list [W1, W2]."""
 
     def __init__(self, arrays, activation: str):
-        self.params = self.arrays = arrays
-        self.activation = activation
+        self.arrays, self.activation = arrays, activation
 
     def forward(self, features):
         w1, w2 = self.arrays
@@ -409,15 +362,13 @@ class MlpModel:
 
 
 class GcnModel:
-    """Two GCN layers, act(P X W1) then P H W2; `params` is the list [W1, W2].
+    """Two GCN layers, act(P X W1) then P H W2; `arrays` is the list [W1, W2].
 
     P X is kept for the last features array, which must not be mutated.
     """
 
     def __init__(self, prop: BlockLaplacian, arrays, activation: str):
-        self.prop = prop
-        self.params = self.arrays = arrays
-        self.activation = activation
+        self.prop, self.arrays, self.activation = prop, arrays, activation
         self._propagated = (None, None)  # (features, P features)
 
     def forward(self, features):
@@ -450,14 +401,37 @@ def build_sheaf_by_kind(g: Graph, kind: str, d: int, seed: int) -> Sheaf:
     raise ValueError(f"unknown sheaf kind {kind!r}")
 
 
-def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0):
-    """Train one model on one split; returns (best-val params, history).
+def build_operator(g: Graph, kind: str, cfg: TrainConfig):
+    """The fixed operator a model kind trains against: (operator, diagnostics, seconds).
+
+    A sheaf kind gives its sheaf Laplacian, normalised when
+    `cfg.use_normalised`; gcn gives the GCN propagation matrix and mlp None.
+    The diagnostics are the sheaf build's counters, all zero for every kind
+    but connection; `seconds` times the whole build.
+    """
+    t0 = time.perf_counter()
+    op, diagnostics = None, BuildDiagnostics()
+    if kind in SHEAF_KINDS:
+        sheaf = build_sheaf_by_kind(g, kind, cfg.d, cfg.seed)
+        op = sheaf_laplacian(sheaf, g)
+        op = normalise(op) if cfg.use_normalised else op
+        diagnostics = sheaf.diagnostics or diagnostics
+    elif kind == "gcn":
+        op = gcn_propagation_matrix(g)
+    elif kind != "mlp":
+        raise ValueError(f"unknown model kind {kind!r}")
+    return op, diagnostics, time.perf_counter() - t0
+
+
+def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None):
+    """Train one model on one split; returns (best-val weight arrays, history).
 
     `kind` selects the sheaf for the diffusion model (connection, trivial,
-    rand-edge, rand-node) or one of the baselines (gcn, mlp). The sheaf
-    Laplacian or GCN operator is built once, before the first epoch, and
-    timed separately from the epochs. The params are a ModelParams for the
-    diffusion model and the list [W1, W2] for a baseline. A non-finite
+    rand-edge, rand-node) or one of the baselines (gcn, mlp). `built` is
+    `build_operator(dataset.graph, kind, cfg)`'s result, which several
+    splits can share; without it `train` builds the operator itself. The
+    history carries the build's `sheaf_build_seconds` and `diagnostics`.
+    The weights are the model's `arrays`, for every kind. A non-finite
     training loss raises GuardError.
     """
     cfg.validate()
@@ -473,22 +447,14 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0):
     split, labels = dataset.splits[split_index], g.labels
     n_classes = int(labels.max()) + 1
 
+    op, diagnostics, build_seconds = build_operator(g, kind, cfg) if built is None else built
     rng = np.random.default_rng(cfg.seed)
-    t0 = time.perf_counter()
+    p, h = g.feature_dim, cfg.hidden
     if kind in SHEAF_KINDS:
-        lap = sheaf_laplacian(build_sheaf_by_kind(g, kind, cfg.d, cfg.seed), g)
-        lap = normalise(lap) if cfg.use_normalised else lap
-        build_seconds = time.perf_counter() - t0
-        model = DiffusionModel(init_params(cfg, g.feature_dim, n_classes, rng), lap)
+        model = DiffusionModel(op, init_params(cfg, p, n_classes, rng), cfg.layers, cfg.activation)
     else:
-        prop = gcn_propagation_matrix(g) if kind == "gcn" else None
-        build_seconds = time.perf_counter() - t0
-        p, h = g.feature_dim, cfg.hidden
         ws = [_uniform(rng, (p, h), p), _uniform(rng, (h, n_classes), h)]
-        if prop is None:
-            model = MlpModel(ws, cfg.activation)
-        else:
-            model = GcnModel(prop, ws, cfg.activation)
+        model = MlpModel(ws, cfg.activation) if op is None else GcnModel(op, ws, cfg.activation)
     adam = _AdamState(model.arrays) if cfg.optimiser == "adam" else None
 
     history = {key: [] for key in EPOCH_KEYS}
@@ -534,5 +500,6 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0):
         test_acc_at_best=accuracy(model.forward(g.features)[0], labels, split.test),
         sheaf_build_seconds=build_seconds,
         mean_epoch_seconds=float(np.mean(history["epoch_seconds"])),
+        diagnostics=asdict(diagnostics),
     )
-    return model.params, history
+    return model.arrays, history

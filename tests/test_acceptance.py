@@ -17,13 +17,13 @@ import sheaflab as sl
 from sheaflab.cli import main as cli_main
 from sheaflab.data import generate_splits, save_dataset, synth_sbm
 from sheaflab.model import (
+    DiffusionModel,
     TrainConfig,
     backward,
     build_sheaf_by_kind,
     cross_entropy_grad,
     encode,
     forward,
-    grad_arrays,
     init_params,
     sheaf_layer,
     train,
@@ -31,7 +31,7 @@ from sheaflab.model import (
 from sheaflab.sheaf import transports_from_bases
 from conftest import random_graph, random_orthonormal_basis
 from oracles import coboundary, graph_laplacian, laplacian_from_coboundary
-from test_model import max_rel_err, numeric_grads
+from test_model import max_rel_err, numeric_model_grads
 
 
 @contextmanager
@@ -174,13 +174,14 @@ def test_criterion_08_gradient_gate():
             mask = np.arange(n)
             for act in ("relu", "tanh", "identity"):
                 cfg = TrainConfig(d=d, f=f, layers=2, activation=act)
-                params = init_params(cfg, p, 2, np.random.default_rng(seed))
-                logits, cache = forward(params, lap, feats)
+                arrays = init_params(cfg, p, 2, np.random.default_rng(seed))
+                model = DiffusionModel(lap, arrays, cfg.layers, act)
+                logits, cache = forward(model, feats)
                 grads = backward(
-                    cache, cross_entropy_grad(logits, g.labels, mask), lap
+                    model, cache, cross_entropy_grad(logits, g.labels, mask)
                 )
-                numeric = numeric_grads(params, lap, feats, g.labels, mask, h=1e-5)
-                rel = max_rel_err(grad_arrays(grads), numeric)
+                numeric = numeric_model_grads(model, feats, g.labels, mask, h=1e-5)
+                rel = max_rel_err(grads, numeric)
                 assert rel < 1e-5, f"seed={seed} act={act} rel={rel}"
 
 

@@ -6,6 +6,7 @@ import pytest
 import sheaflab as sl
 from sheaflab.cli import main
 from sheaflab.data import save_dataset, synth_sbm
+from sheaflab.model import TrainConfig, train
 
 
 @pytest.fixture
@@ -97,6 +98,38 @@ class TestTrain:
         per_split = [r for r in records if r.get("summary") and "split" in r]
         assert len(per_split) == 10
 
+    @pytest.mark.parametrize("kind, builder", [
+        ("connection", "build_sheaf_by_kind"),
+        ("rand-edge", "build_sheaf_by_kind"),
+        ("gcn", "gcn_propagation_matrix"),
+    ])
+    def test_all_splits_share_one_build(
+        self, dataset_dir, tmp_path, capsys, monkeypatch, kind, builder
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 3, "patience": 0}))
+        calls, original = [], getattr(sl.model, builder)
+        monkeypatch.setattr(sl.model, builder, lambda *a: calls.append(a) or original(*a))
+        code, records = run_cli(
+            capsys, "train", "--dataset", dataset_dir, "--config", str(cfg),
+            "--kind", kind, "--split", "all",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        # each summary, timings aside, is what a standalone train() of that split gives
+        ds = sl.load_dataset(dataset_dir)
+        per_split = [r for r in records if r.get("summary") and "split" in r]
+        assert len(per_split) == 10
+        for index, record in enumerate(per_split):
+            _, hist = train(ds, kind, TrainConfig(epochs=3, patience=0), index)
+            expected = {
+                "summary": True, "split": index, "kind": kind,
+                **{k: hist[k] for k in ("best_epoch", "best_val_acc", "test_acc_at_best")},
+                **hist["diagnostics"],
+            }
+            timings = ("sheaf_build_seconds", "mean_epoch_seconds")
+            assert {k: v for k, v in record.items() if k not in timings} == expected
+
     def test_split_out_of_range(self, dataset_dir, capsys):
         code = main(["train", "--dataset", dataset_dir, "--split", "11"])
         assert code == 1
@@ -166,6 +199,22 @@ class TestTrain:
     def test_unknown_kind(self, dataset_dir, capsys):
         code = main(["train", "--dataset", dataset_dir, "--kind", "resnet"])
         assert code == 1
+
+
+@pytest.mark.parametrize("command, kind, padded", [
+    ("train", "connection", 2), ("bench", "connection", 2), ("train", "gcn", 0),
+])
+def test_records_carry_build_diagnostics(dataset_dir, tmp_path, capsys, command, kind, padded):
+    # the fixture's d = 2 connection build pads two under-degree neighbourhoods;
+    # every kind but connection reports zeros
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 3, "patience": 0}))
+    code, records = run_cli(
+        capsys, command, "--dataset", dataset_dir, "--config", str(cfg), "--kind", kind
+    )
+    assert code == 0
+    expected = {"padded_nodes": padded, "rank_completed_bases": 0, "singular_alignments": 0}
+    assert {k: records[-1][k] for k in expected} == expected
 
 
 class TestSpectrum:

@@ -454,4 +454,4 @@ def test_write_laplacian_coo_memory_peak(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * entry_bytes
+    assert peak <= 2 * entry_bytes

@@ -17,9 +17,7 @@ from sheaflab.model import (
     encode,
     forward,
     gcn_propagation_matrix,
-    grad_arrays,
     init_params,
-    param_arrays,
     sheaf_layer,
     train,
 )
@@ -37,12 +35,8 @@ def small_instance(seed, n=6, p=3, d=2, f=2, layers=2, activation="relu", kind="
     sheaf = build_sheaf_by_kind(g, kind, d, seed=seed)
     lap = sl.normalise(sl.sheaf_laplacian(sheaf, g))
     cfg = TrainConfig(d=d, f=f, layers=layers, activation=activation, seed=seed)
-    params = init_params(cfg, p, 2, np.random.default_rng(seed + 1))
-    return g, lap, params, feats, g.labels
-
-
-def numeric_grads(params, lap, feats, labels, mask, h=1e-5):
-    return numeric_model_grads(DiffusionModel(params, lap), feats, labels, mask, h)
+    arrays = init_params(cfg, p, 2, np.random.default_rng(seed + 1))
+    return g, lap, DiffusionModel(lap, arrays, layers, activation), feats, g.labels
 
 
 def numeric_model_grads(model, feats, labels, mask, h=1e-5):
@@ -97,8 +91,8 @@ class TestEncode:
 
 class TestSheafLayer:
     def setup_method(self):
-        self.g, self.lap, self.params, self.feats, self.labels = small_instance(0)
-        self.x = encode(self.feats, self.params.w_in, 2)
+        self.g, self.lap, self.model, self.feats, self.labels = small_instance(0)
+        self.x = encode(self.feats, self.model.arrays[0], 2)
 
     @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
     def test_zero_w1_identity_layer(self, act):
@@ -121,24 +115,36 @@ class TestSheafLayer:
 
 class TestForward:
     def test_zero_params_uniform_logits(self):
-        g, lap, params, feats, labels = small_instance(3)
-        for arr in param_arrays(params):
+        g, lap, model, feats, labels = small_instance(3)
+        for arr in model.arrays:
             arr[...] = 0.0
-        logits, _ = forward(params, lap, feats)
+        logits, _ = forward(model, feats)
         assert_array_equal(logits, np.zeros_like(logits))
 
     def test_single_linear_layer_oracle(self):
-        g, lap, params, feats, labels = small_instance(4, layers=1, activation="identity")
-        params.layers[0][0][...] = np.eye(2)
-        params.layers[0][1][...] = np.eye(2)
-        logits, _ = forward(params, lap, feats)
-        x0 = encode(feats, params.w_in, 2)
+        g, lap, model, feats, labels = small_instance(4, layers=1, activation="identity")
+        model.arrays[1][...] = np.eye(2)
+        model.arrays[2][...] = np.eye(2)
+        logits, _ = forward(model, feats)
+        x0 = encode(feats, model.arrays[0], 2)
         x1 = (np.eye(lap.dim) - lap.to_dense()) @ x0
-        assert_allclose(logits, x1.reshape(g.n, -1) @ params.w_out.T, atol=1e-12)
+        assert_allclose(logits, x1.reshape(g.n, -1) @ model.arrays[-1].T, atol=1e-12)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_each_step_uses_its_pair_of_arrays(self, tied):
+        g, lap, _, feats, labels = small_instance(15)
+        cfg = TrainConfig(d=2, f=2, layers=3, tied_weights=tied, activation="tanh")
+        arrays = init_params(cfg, 3, 2, np.random.default_rng(15))
+        logits, _ = forward(DiffusionModel(lap, arrays, cfg.layers, cfg.activation), feats)
+        x = encode(feats, arrays[0], 2)
+        for t in range(cfg.layers):
+            k = 1 if tied else 1 + 2 * t  # [W_in, W1_0, W2_0, W1_1, ..., W_out]
+            x = sheaf_layer(lap, x, arrays[k], arrays[k + 1], "tanh")
+        assert_array_equal(logits, x.reshape(g.n, -1) @ arrays[-1].T)
 
     def test_permutation_equivariance(self):
-        g, lap, params, feats, labels = small_instance(5)
-        logits, _ = forward(params, lap, feats)
+        g, lap, model, feats, labels = small_instance(5)
+        logits, _ = forward(model, feats)
         rng = np.random.default_rng(5)
         pos = rng.permutation(g.n)  # pos[old] = new index
         new_edges, new_transports = [], []
@@ -164,7 +170,8 @@ class TestForward:
             transports=np.stack(new_transports)[order],
         )
         lap_perm = sl.normalise(sl.sheaf_laplacian(s_perm, g_perm))
-        logits_perm, _ = forward(params, lap_perm, feats[inv])
+        model_perm = DiffusionModel(lap_perm, model.arrays, model.steps, model.activation)
+        logits_perm, _ = forward(model_perm, feats[inv])
         assert_allclose(logits_perm, logits[inv], atol=1e-10)
 
 
@@ -198,37 +205,37 @@ class TestCrossEntropy:
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
-        g, lap, params, feats, labels = small_instance(6)
-        _, cache = forward(params, lap, feats)
-        grads = backward(cache, np.zeros((g.n, 2)), lap)
-        for arr in grad_arrays(grads):
+        g, lap, model, feats, labels = small_instance(6)
+        _, cache = forward(model, feats)
+        grads = backward(model, cache, np.zeros((g.n, 2)))
+        for arr in grads:
             assert_array_equal(arr, np.zeros_like(arr))
 
     @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
     def test_finite_difference(self, act):
-        g, lap, params, feats, labels = small_instance(7, activation=act)
+        g, lap, model, feats, labels = small_instance(7, activation=act)
         mask = np.arange(g.n)
-        logits, cache = forward(params, lap, feats)
-        grads = backward(cache, cross_entropy_grad(logits, labels, mask), lap)
-        numeric = numeric_grads(params, lap, feats, labels, mask)
-        assert max_rel_err(grad_arrays(grads), numeric) < 1e-5
+        logits, cache = forward(model, feats)
+        grads = backward(model, cache, cross_entropy_grad(logits, labels, mask))
+        numeric = numeric_model_grads(model, feats, labels, mask)
+        assert max_rel_err(grads, numeric) < 1e-5
 
     def test_finite_difference_tied_weights(self):
         g, lap, _, feats, labels = small_instance(8)
         cfg = TrainConfig(d=2, f=2, layers=3, tied_weights=True)
-        params = init_params(cfg, 3, 2, np.random.default_rng(8))
-        assert len(params.layers) == 1 and params.steps == 3
+        arrays = init_params(cfg, 3, 2, np.random.default_rng(8))
+        model = DiffusionModel(lap, arrays, cfg.layers, cfg.activation)
+        assert len(arrays) == 4 and model.steps == 3  # W_in, one (W1, W2) pair, W_out
         mask = np.arange(g.n)
-        logits, cache = forward(params, lap, feats)
-        grads = backward(cache, cross_entropy_grad(logits, labels, mask), lap)
-        numeric = numeric_grads(params, lap, feats, labels, mask)
-        assert max_rel_err(grad_arrays(grads), numeric) < 1e-5
+        logits, cache = forward(model, feats)
+        grads = backward(model, cache, cross_entropy_grad(logits, labels, mask))
+        numeric = numeric_model_grads(model, feats, labels, mask)
+        assert max_rel_err(grads, numeric) < 1e-5
 
     def test_finite_difference_fixed_dropout_mask(self):
-        g, lap, params, feats, labels = small_instance(13)
+        g, lap, model, feats, labels = small_instance(13)
         keep = np.random.default_rng(13).random(feats.shape) >= 0.5
         dropped = feats * keep / 0.5
-        model = DiffusionModel(params, lap)
         mask = np.arange(g.n)
         logits, cache = model.forward(dropped)
         grads = model.backward(cache, cross_entropy_grad(logits, labels, mask))
@@ -254,22 +261,22 @@ class TestBackward:
     def test_w2_closed_form_linear_case(self):
         # T=1, identity activation: X1 = X0 - L (I kron W1) X0 W2 is linear
         # in W2, so dW2 = -A^T (L G) with A = (I kron W1) X0
-        g, lap, params, feats, labels = small_instance(9, layers=1, activation="identity")
-        logits, cache = forward(params, lap, feats)
+        g, lap, model, feats, labels = small_instance(9, layers=1, activation="identity")
+        logits, cache = forward(model, feats)
         dlogits = np.random.default_rng(9).standard_normal(logits.shape)
-        grads = backward(cache, dlogits, lap)
-        x0 = encode(feats, params.w_in, 2)
-        a = np.kron(np.eye(g.n), params.layers[0][0]) @ x0
-        gmat = (dlogits @ params.w_out).reshape(lap.dim, -1)
+        grads = backward(model, cache, dlogits)
+        x0 = encode(feats, model.arrays[0], 2)
+        a = np.kron(np.eye(g.n), model.arrays[1]) @ x0
+        gmat = (dlogits @ model.arrays[-1]).reshape(lap.dim, -1)
         expected = -a.T @ (lap.to_dense() @ gmat)
-        assert_allclose(grads.layers[0][1], expected, atol=1e-10)
+        assert_allclose(grads[2], expected, atol=1e-10)
 
     def test_stale_cache_rejected(self):
-        g, lap, params, feats, labels = small_instance(10)
-        _, cache = forward(params, lap, feats)
+        g, lap, model, feats, labels = small_instance(10)
+        _, cache = forward(model, feats)
         cache.pres.pop()
         with pytest.raises(ValueError, match="stale"):
-            backward(cache, np.zeros((g.n, 2)), lap)
+            backward(model, cache, np.zeros((g.n, 2)))
 
 
 class TestAccuracyEvaluate:
@@ -349,12 +356,12 @@ class TestGcnMlp:
 
     def test_mlp_zero_weights_uniform(self):
         feats = np.random.default_rng(1).standard_normal((5, 3))
-        logits = sl.mlp_forward(feats, [np.zeros((3, 4)), np.zeros((4, 2))])
+        logits = MlpModel([np.zeros((3, 4)), np.zeros((4, 2))], "relu").forward(feats)[0]
         assert_array_equal(logits, np.zeros((5, 2)))
 
     def test_mlp_monotone_in_feature(self):
         feats = np.array([[0.5], [1.0], [2.0]])
-        logits = sl.mlp_forward(feats, [np.array([[1.0]]), np.array([[1.0]])])
+        logits = MlpModel([np.array([[1.0]]), np.array([[1.0]])], "relu").forward(feats)[0]
         assert logits[0, 0] < logits[1, 0] < logits[2, 0]
 
     def test_mlp_dense_oracle(self):
@@ -363,7 +370,7 @@ class TestGcnMlp:
         w1 = rng.standard_normal((3, 4))
         w2 = rng.standard_normal((4, 2))
         assert_allclose(
-            sl.mlp_forward(feats, [w1, w2], "tanh"), np.tanh(feats @ w1) @ w2
+            MlpModel([w1, w2], "tanh").forward(feats)[0], np.tanh(feats @ w1) @ w2
         )
 
 
@@ -380,14 +387,13 @@ def test_trivial_sheaf_d1_propagation_matches_normalised_graph_laplacian():
 
 
 def test_multi_step_identity_layers_match_euler():
-    g, lap, params, feats, labels = small_instance(12, layers=3, activation="identity")
-    for w1, w2 in params.layers:
-        w1[...] = np.eye(2)
-        w2[...] = np.eye(2)
-    x0 = encode(feats, params.w_in, 2)
+    g, lap, model, feats, labels = small_instance(12, layers=3, activation="identity")
+    for w in model.arrays[1:-1]:  # every step's (W1, W2)
+        w[...] = np.eye(2)
+    x0 = encode(feats, model.arrays[0], 2)
     x = x0
     for t in range(3):
-        x = sheaf_layer(lap, x, *params.layers[t], "identity")
+        x = sheaf_layer(lap, x, *model.arrays[1 + 2 * t:3 + 2 * t], "identity")
     assert_allclose(x, sl.euler_diffusion(lap, x0, 3), atol=1e-12)
 
 
@@ -398,9 +404,9 @@ class TestTrain:
     def test_lr_zero_keeps_params(self):
         ds = self._dataset()
         cfg = TrainConfig(lr=0.0, epochs=3, seed=1)
-        params, _ = train(ds, "trivial", cfg, 0)
+        arrays, _ = train(ds, "trivial", cfg, 0)
         fresh = init_params(cfg, 2, 2, np.random.default_rng(1))
-        for a, b in zip(param_arrays(params), param_arrays(fresh)):
+        for a, b in zip(arrays, fresh):
             assert_array_equal(a, b)
 
     def test_determinism_excluding_timing(self):
@@ -412,7 +418,7 @@ class TestTrain:
             assert h1[key] == h2[key]
         assert h1["best_epoch"] == h2["best_epoch"]
         assert h1["test_acc_at_best"] == h2["test_acc_at_best"]
-        for a, b in zip(param_arrays(p1), param_arrays(p2)):
+        for a, b in zip(p1, p2):
             assert np.array_equal(a, b)
 
     def test_loss_decreases_early(self):
