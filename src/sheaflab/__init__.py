@@ -23,7 +23,6 @@ from .model import (
     cross_entropy_grad,
     encode,
     forward,
-    gcn_forward,
     init_params,
     sheaf_layer,
     train,

@@ -13,10 +13,11 @@ the layer adjoint reuses L itself through its symmetry.
 `build_operator` builds any kind's fixed operator once. Every model keeps
 its weights in a flat list `arrays`, with `forward(features) -> (logits,
 cache)` and `backward(cache, dlogits)` returning gradients in that order,
-so GCN and MLP baselines train through the same full-batch loop. At dropout 0
-the evaluation forward that ends one epoch is the next epoch's training
-forward (same features, same weights), so each epoch after the first runs
-one forward; with dropout > 0 every epoch runs two.
+so the baseline (GCN, or MLP when there is no operator) trains through
+the same full-batch loop. At dropout 0 the evaluation forward that ends
+one epoch is the next epoch's training forward (same features, same
+weights), so each epoch after the first runs one forward; with dropout > 0
+every epoch runs two.
 """
 
 from __future__ import annotations
@@ -168,15 +169,20 @@ def forward(model: DiffusionModel, features: np.ndarray) -> tuple[np.ndarray, Fo
     return cache.z_out @ ws[-1].T, cache
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
-    """Mean negative log-softmax of the true class over `mask` nodes."""
+def _masked(logits: np.ndarray, labels: np.ndarray, mask):
+    """(mask, logits[mask], labels[mask]); rejects an empty mask and labels outside [0, C)."""
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("empty mask")
-    sub = logits[mask]
     lab = np.asarray(labels)[mask]
     if lab.min() < 0 or lab.max() >= logits.shape[1]:
         raise ValueError("label out of range")
+    return mask, logits[mask], lab
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
+    """Mean negative log-softmax of the true class over `mask` nodes."""
+    mask, sub, lab = _masked(logits, labels, mask)
     shifted = sub - sub.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return float(-logp[np.arange(mask.size), lab].mean())
@@ -184,11 +190,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray, mask) -> np.ndarray:
     """d(loss)/d(logits): (softmax - onehot)/|mask| on masked rows, zero elsewhere."""
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty mask")
-    sub = logits[mask]
-    lab = np.asarray(labels)[mask]
+    mask, sub, lab = _masked(logits, labels, mask)
     shifted = sub - sub.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     soft = expz / expz.sum(axis=1, keepdims=True)
@@ -257,11 +259,8 @@ def init_params(
 
 def accuracy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
     """Masked argmax accuracy; ties resolve to the lowest class id."""
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty mask")
-    pred = np.argmax(logits[mask], axis=1)
-    return float(np.mean(pred == np.asarray(labels)[mask]))
+    _, sub, lab = _masked(logits, labels, mask)
+    return float(np.mean(np.argmax(sub, axis=1) == lab))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +291,7 @@ def _step(arrays, grads, cfg: TrainConfig, adam: _AdamState | None):
 
 
 # ---------------------------------------------------------------------------
-# GCN / MLP baselines
+# GCN propagation
 
 def gcn_propagation_matrix(g: Graph) -> BlockLaplacian:
     """GCN propagation D^{-1/2} (A + I) D^{-1/2} as a d = 1 block operator.
@@ -310,13 +309,6 @@ def gcn_propagation_matrix(g: Graph) -> BlockLaplacian:
         diag=(scale ** 2)[:, None, None],
         off=(scale[us] * scale[vs])[:, None, None],
     )
-
-
-def gcn_forward(
-    prop: BlockLaplacian, h: np.ndarray, w: np.ndarray, activation: str = "relu"
-) -> np.ndarray:
-    """One propagation layer act(P H W), with P from gcn_propagation_matrix."""
-    return _act(apply(prop, h) @ w, activation)
 
 
 # ---------------------------------------------------------------------------
@@ -343,47 +335,34 @@ class DiffusionModel:
         return backward(self, cache, dlogits)
 
 
-class MlpModel:
-    """Two-layer perceptron act(X W1) W2; `arrays` is the list [W1, W2]."""
+class BaselineModel:
+    """Two layers act(P X W1) then P H W2; `arrays` is the list [W1, W2].
 
-    def __init__(self, arrays, activation: str):
-        self.arrays, self.activation = arrays, activation
-
-    def forward(self, features):
-        w1, w2 = self.arrays
-        pre = features @ w1
-        hidden = _act(pre, self.activation)
-        return hidden @ w2, (features, pre, hidden)
-
-    def backward(self, cache, dlogits):
-        features, pre, hidden = cache
-        d_pre = (dlogits @ self.arrays[1].T) * _act_grad(pre, self.activation)
-        return [features.T @ d_pre, hidden.T @ dlogits]
-
-
-class GcnModel:
-    """Two GCN layers, act(P X W1) then P H W2; `arrays` is the list [W1, W2].
-
-    P X is kept for the last features array, which must not be mutated.
+    P is the GCN propagation matrix, or the identity when `prop` is None,
+    which makes this the MLP. P X is kept for the last features array, which
+    must not be mutated.
     """
 
-    def __init__(self, prop: BlockLaplacian, arrays, activation: str):
+    def __init__(self, prop: BlockLaplacian | None, arrays, activation: str):
         self.prop, self.arrays, self.activation = prop, arrays, activation
         self._propagated = (None, None)  # (features, P features)
+
+    def _propagate(self, x):
+        return x if self.prop is None else apply(self.prop, x)
 
     def forward(self, features):
         w1, w2 = self.arrays
         if self._propagated[0] is not features:
-            self._propagated = (features, apply(self.prop, features))
+            self._propagated = (features, self._propagate(features))
         pre = self._propagated[1] @ w1
         hidden = _act(pre, self.activation)
-        return gcn_forward(self.prop, hidden, w2, "identity"), (features, pre, hidden)
+        return self._propagate(hidden) @ w2, (features, pre, hidden)
 
     def backward(self, cache, dlogits):
         features, pre, hidden = cache
-        d_out = apply(self.prop, dlogits)                       # P^T = P
+        d_out = self._propagate(dlogits)                        # P^T = P
         d_pre = (d_out @ self.arrays[1].T) * _act_grad(pre, self.activation)
-        return [features.T @ apply(self.prop, d_pre), hidden.T @ d_out]
+        return [features.T @ self._propagate(d_pre), hidden.T @ d_out]
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +433,7 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
         model = DiffusionModel(op, init_params(cfg, p, n_classes, rng), cfg.layers, cfg.activation)
     else:
         ws = [_uniform(rng, (p, h), p), _uniform(rng, (h, n_classes), h)]
-        model = MlpModel(ws, cfg.activation) if op is None else GcnModel(op, ws, cfg.activation)
+        model = BaselineModel(op, ws, cfg.activation)
     adam = _AdamState(model.arrays) if cfg.optimiser == "adam" else None
 
     history = {key: [] for key in EPOCH_KEYS}

@@ -17,13 +17,13 @@ import sheaflab as sl
 from sheaflab.cli import main as cli_main
 from sheaflab.data import generate_splits, save_dataset, synth_sbm
 from sheaflab.model import (
+    BaselineModel,
     DiffusionModel,
     TrainConfig,
-    backward,
     build_sheaf_by_kind,
     cross_entropy_grad,
     encode,
-    forward,
+    gcn_propagation_matrix,
     init_params,
     sheaf_layer,
     train,
@@ -171,18 +171,26 @@ def test_criterion_08_gradient_gate():
             g = sl.from_edge_list(n, raw, feats, labels)
             sheaf = sl.build_connection_sheaf(g, d)
             lap = sl.normalise(sl.sheaf_laplacian(sheaf, g))
+            prop = gcn_propagation_matrix(g)
             mask = np.arange(n)
             for act in ("relu", "tanh", "identity"):
                 cfg = TrainConfig(d=d, f=f, layers=2, activation=act)
-                arrays = init_params(cfg, p, 2, np.random.default_rng(seed))
-                model = DiffusionModel(lap, arrays, cfg.layers, act)
-                logits, cache = forward(model, feats)
-                grads = backward(
-                    model, cache, cross_entropy_grad(logits, g.labels, mask)
-                )
-                numeric = numeric_model_grads(model, feats, g.labels, mask, h=1e-5)
-                rel = max_rel_err(grads, numeric)
-                assert rel < 1e-5, f"seed={seed} act={act} rel={rel}"
+                w_rng = np.random.default_rng(seed)
+                arrays = init_params(cfg, p, 2, w_rng)
+                ws = [w_rng.standard_normal((p, 4)), w_rng.standard_normal((4, 2))]
+                models = {
+                    "diffusion": DiffusionModel(lap, arrays, cfg.layers, act),
+                    "gcn": BaselineModel(prop, ws, act),
+                    "mlp": BaselineModel(None, ws, act),
+                }
+                for name, model in models.items():
+                    logits, cache = model.forward(feats)
+                    grads = model.backward(
+                        cache, cross_entropy_grad(logits, g.labels, mask)
+                    )
+                    numeric = numeric_model_grads(model, feats, g.labels, mask, h=1e-5)
+                    rel = max_rel_err(grads, numeric)
+                    assert rel < 1e-5, f"seed={seed} act={act} model={name} rel={rel}"
 
 
 def test_criterion_09_reduction_to_euler():

@@ -306,6 +306,18 @@ class TestExitCodes:
         assert code == 2
         assert "non-finite feature" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["build-sheaf", "--out", "{tmp}/missing_dir/x.csv"],
+        ["spectrum", "--out", "{tmp}/missing_dir/e.csv"],
+        ["train", "--config", "{tmp}"],
+    ], ids=["build-sheaf-out", "spectrum-out", "train-config-directory"])
+    def test_unusable_file_argument_is_usage_error(self, dataset_dir, tmp_path, capsys, argv):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code = main(argv[:1] + ["--dataset", dataset_dir] + argv[1:])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
     def test_bad_flag_is_usage_error(self, capsys):
         code = main(["train", "--no-such-flag", "x"])
         assert code == 1

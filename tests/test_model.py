@@ -5,10 +5,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 import sheaflab as sl
 from sheaflab.errors import GuardError
 from sheaflab.model import (
+    BaselineModel,
     DiffusionModel,
     ForwardCache,
-    GcnModel,
-    MlpModel,
     TrainConfig,
     backward,
     build_sheaf_by_kind,
@@ -198,9 +197,13 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="empty mask"):
             cross_entropy(np.zeros((2, 2)), np.array([0, 1]), [])
 
-    def test_label_out_of_range(self):
+    @pytest.mark.parametrize("label", [-1, 2], ids=["negative", "C"])
+    @pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad, sl.accuracy],
+                             ids=lambda fn: fn.__name__)
+    def test_label_out_of_range(self, fn, label):
+        # every masked-label function rejects labels outside [0, C), here C = 2
         with pytest.raises(ValueError, match="label"):
-            cross_entropy(np.zeros((2, 2)), np.array([0, 7]), [0, 1])
+            fn(np.zeros((2, 2)), np.array([0, label]), [0, 1])
 
 
 class TestBackward:
@@ -248,10 +251,7 @@ class TestBackward:
         g, _, _, feats, labels = small_instance(14)
         rng = np.random.default_rng(14)
         ws = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]
-        if kind == "gcn":
-            model = GcnModel(gcn_propagation_matrix(g), ws, act)
-        else:
-            model = MlpModel(ws, act)
+        model = BaselineModel(gcn_propagation_matrix(g) if kind == "gcn" else None, ws, act)
         mask = np.arange(g.n)
         logits, cache = model.forward(feats)
         grads = model.backward(cache, cross_entropy_grad(logits, labels, mask))
@@ -305,9 +305,8 @@ class TestGcnMlp:
         g = sl.from_edge_list(1, [], np.zeros((1, 2)))
         h = np.array([[2.0, -1.0]])
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert_allclose(
-            sl.gcn_forward(gcn_propagation_matrix(g), h, w, "relu"), np.maximum(h, 0.0)
-        )
+        model = BaselineModel(gcn_propagation_matrix(g), [w, np.eye(2)], "relu")
+        assert_allclose(model.forward(h)[0], np.maximum(h, 0.0))
 
     @staticmethod
     def dense_gcn(g):
@@ -319,7 +318,7 @@ class TestGcnMlp:
     def test_gcn_constant_fixed_point_four_cycle(self):
         g = sl.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)], np.zeros((4, 2)))
         h = np.full((4, 2), 1.7)
-        got = sl.gcn_forward(gcn_propagation_matrix(g), h, np.eye(2), "identity")
+        got = sl.apply(gcn_propagation_matrix(g), h)
         dense = self.dense_gcn(g)
         assert_allclose(got, dense @ h, atol=1e-12)
         assert_allclose(got, h, atol=1e-12)
@@ -335,17 +334,18 @@ class TestGcnMlp:
     def test_gcn_zero_weights(self):
         g = sl.from_edge_list(3, [(0, 1), (1, 2)], np.zeros((3, 2)))
         h = np.random.default_rng(0).standard_normal((3, 4))
-        prop = gcn_propagation_matrix(g)
-        assert_array_equal(sl.gcn_forward(prop, h, np.zeros((4, 2))), np.zeros((3, 2)))
+        ws = [np.zeros((4, 5)), np.ones((5, 2))]
+        model = BaselineModel(gcn_propagation_matrix(g), ws, "relu")
+        assert_array_equal(model.forward(h)[0], np.zeros((3, 2)))
 
     def test_gcn_propagates_each_features_object_once(self, monkeypatch):
         rng = np.random.default_rng(4)
         g = random_graph(rng, n=12, edge_prob=0.3)
         prop = gcn_propagation_matrix(g)
         ws = [rng.standard_normal((4, 5)), rng.standard_normal((5, 3))]
-        model = GcnModel(prop, ws, "relu")
+        model = BaselineModel(prop, ws, "relu")
         x = g.features
-        expected = sl.gcn_forward(prop, sl.gcn_forward(prop, x, ws[0], "relu"), ws[1], "identity")
+        expected = sl.apply(prop, np.maximum(sl.apply(prop, x) @ ws[0], 0.0)) @ ws[1]
         calls = []
         monkeypatch.setattr(sl.model, "apply", lambda *a: calls.append(1) or sl.apply(*a))
         for _ in range(2):
@@ -356,12 +356,14 @@ class TestGcnMlp:
 
     def test_mlp_zero_weights_uniform(self):
         feats = np.random.default_rng(1).standard_normal((5, 3))
-        logits = MlpModel([np.zeros((3, 4)), np.zeros((4, 2))], "relu").forward(feats)[0]
+        ws = [np.zeros((3, 4)), np.zeros((4, 2))]
+        logits = BaselineModel(None, ws, "relu").forward(feats)[0]
         assert_array_equal(logits, np.zeros((5, 2)))
 
     def test_mlp_monotone_in_feature(self):
         feats = np.array([[0.5], [1.0], [2.0]])
-        logits = MlpModel([np.array([[1.0]]), np.array([[1.0]])], "relu").forward(feats)[0]
+        ws = [np.array([[1.0]]), np.array([[1.0]])]
+        logits = BaselineModel(None, ws, "relu").forward(feats)[0]
         assert logits[0, 0] < logits[1, 0] < logits[2, 0]
 
     def test_mlp_dense_oracle(self):
@@ -370,7 +372,7 @@ class TestGcnMlp:
         w1 = rng.standard_normal((3, 4))
         w2 = rng.standard_normal((4, 2))
         assert_allclose(
-            MlpModel([w1, w2], "tanh").forward(feats)[0], np.tanh(feats @ w1) @ w2
+            BaselineModel(None, [w1, w2], "tanh").forward(feats)[0], np.tanh(feats @ w1) @ w2
         )
 
 
