@@ -8,7 +8,9 @@ defined by the library modules. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -75,12 +77,29 @@ def _emit(record: dict) -> None:
     print(json.dumps(record))
 
 
+@contextlib.contextmanager
+def _output_file(path: str):
+    """Check that `path` opens for writing first; if the work then fails, remove a file made here.
+
+    An unusable path raises OSError (exit 1) before any build or eigensolve.
+    """
+    created = not os.path.exists(path)
+    open(path, "a").close()  # append mode leaves an existing file as it was
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
 def cmd_build_sheaf(args) -> int:
-    ds = load_dataset(args.dataset)
-    t0 = time.perf_counter()
-    sheaf = build_sheaf_by_kind(ds.graph, args.kind, args.d, args.seed)
-    build_seconds = time.perf_counter() - t0
-    write_sheaf_csv(sheaf, args.out)
+    with _output_file(args.out):
+        ds = load_dataset(args.dataset)
+        t0 = time.perf_counter()
+        sheaf = build_sheaf_by_kind(ds.graph, args.kind, args.d, args.seed)
+        build_seconds = time.perf_counter() - t0
+        write_sheaf_csv(sheaf, args.out)
     _emit(
         {
             "command": "build-sheaf",
@@ -159,13 +178,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    ds = load_dataset(args.dataset)
-    lap, _, _ = build_operator(ds.graph, args.kind, TrainConfig(d=args.d, seed=args.seed))
-    eigs = spectrum(lap)
-    with open(args.out, "w") as fh:
-        fh.write("eigenvalue\n")
-        for val in eigs:
-            fh.write(f"{repr(float(val))}\n")
+    with _output_file(args.out):
+        ds = load_dataset(args.dataset)
+        lap, _, _ = build_operator(ds.graph, args.kind, TrainConfig(d=args.d, seed=args.seed))
+        eigs = spectrum(lap)
+        with open(args.out, "w") as fh:
+            fh.write("eigenvalue\n")
+            for val in eigs:
+                fh.write(f"{repr(float(val))}\n")
     _emit(
         {
             "command": "spectrum",

@@ -4,7 +4,8 @@ The connection sheaf is built in two stages. First, every node gets an
 orthonormal tangent-space basis, a (p, d) array, from a local PCA of its
 neighbours' centred feature vectors, where the neighbourhood is the 1-hop
 set padded with feature-space nearest non-neighbours whenever it is smaller
-than the stalk dimension; `Sheaf.bases` stacks them into one (n, p, d)
+than the stalk dimension; nodes whose neighbourhoods have one length share
+one batched SVD, and `Sheaf.bases` stacks the bases into one (n, p, d)
 array. Second, each edge gets the orthogonal map that best aligns the two
 endpoint bases in Frobenius norm (the orthogonal Procrustes solution, the
 polar factor of the basis cross-Gram); all edges share one batched SVD.
@@ -121,6 +122,29 @@ def _pca_basis(features: np.ndarray, centre: int, neighbours, d: int):
     return basis, completed
 
 
+def _pca_bases(features: np.ndarray, centres: np.ndarray, neighbours: np.ndarray, d: int):
+    """`_pca_basis` for a group of nodes whose (G, N) neighbour lists share one length N.
+
+    One batched SVD covers the group, and the sign fix and the tie and rank
+    tests run over all of it. A node with tied singular values or rank < d
+    goes through the per-node `_pca_basis`; for every other node the top-d
+    sign-fixed columns are already the canonical basis, bitwise. Returns
+    the (G, p, d) bases and the (G,) rank-completed flags.
+    """
+    xhat = np.swapaxes(features[neighbours] - features[centres][:, None, :], 1, 2)  # (G, p, N)
+    u, s, _ = np.linalg.svd(xhat, full_matrices=False)
+    scale = np.maximum(1.0, s[:, 0])
+    tied = np.any(s[:, :-1] - s[:, 1:] <= (_TIE_TOL * scale)[:, None], axis=1)
+    completed = np.count_nonzero(s > (_RANK_TOL * scale)[:, None], axis=1) < d
+    u = u[:, :, :d]
+    signs = np.sign(np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None, :], axis=1))
+    signs[signs == 0] = 1.0
+    bases = u * signs
+    for k in np.flatnonzero(tied | completed):
+        bases[k], completed[k] = _pca_basis(features, centres[k], neighbours[k], d)
+    return bases, completed
+
+
 def neighbourhood_with_padding(g: Graph, features, i: int, d: int) -> np.ndarray:
     """1-hop neighbours of i, padded up to length d with nearest non-neighbours.
 
@@ -162,7 +186,7 @@ def local_pca(features, centre: int, neighbours, d: int) -> np.ndarray:
         raise ValueError("empty neighbour list")
     if neighbours.size < d:
         raise ValueError(f"need at least d={d} neighbours, got {neighbours.size}")
-    return _pca_basis(features, centre, neighbours, d)[0]
+    return _pca_bases(features, np.array([centre]), neighbours[None, :], d)[0][0]
 
 
 def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,12 +231,18 @@ def build_connection_sheaf(g: Graph, d: int) -> Sheaf:
     if g.n <= d:
         raise GuardError(f"cannot pad neighbourhoods: need n > d, got n={g.n}, d={d}")
 
+    sizes = np.maximum(g.degrees, d)  # a padded neighbourhood has length d
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    flat = np.empty(starts[-1], dtype=np.int64)
+    for i in range(g.n):
+        flat[starts[i]:starts[i + 1]] = neighbourhood_with_padding(g, g.features, i, d)
     bases = np.empty((g.n, p, d), dtype=np.float64)
     completed = 0
-    for i in range(g.n):
-        nbrs = neighbourhood_with_padding(g, g.features, i, d)
-        bases[i], flag = _pca_basis(g.features, i, nbrs, d)
-        completed += flag
+    for size in np.unique(sizes):  # one batched SVD per neighbourhood length
+        ids = np.flatnonzero(sizes == size)
+        nbrs = flat[starts[ids, None] + np.arange(size)]
+        bases[ids], flags = _pca_bases(g.features, ids, nbrs, d)
+        completed += int(np.count_nonzero(flags))
 
     transports, singular = transports_from_bases(g.edges, bases)
     padded = int(np.count_nonzero(g.degrees < d))
@@ -235,34 +265,38 @@ def trivial_sheaf(g: Graph, d: int) -> Sheaf:
     return Sheaf(d=d, n=g.n, kind="trivial", edges=g.edges.copy(), transports=transports)
 
 
-def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed orthogonal d x d matrix.
+def haar_orthogonal(gaussians: np.ndarray) -> np.ndarray:
+    """Haar-distributed orthogonal matrices from a (..., d, d) stack of standard Gaussians.
 
-    QR of a standard Gaussian matrix with the R-diagonal sign correction
-    (each Q column scaled by sign(R_kk)), which makes the distribution
-    exactly Haar rather than QR-convention dependent.
+    QR of each Gaussian matrix with the R-diagonal sign correction (each Q
+    column scaled by sign(R_kk)), which makes the distribution exactly Haar
+    rather than QR-convention dependent. The whole stack is one batched QR,
+    bitwise equal to one QR per matrix.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    a = rng.standard_normal((d, d))
+    a = np.asarray(gaussians, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"need a (..., d, d) stack with d >= 1, got shape {a.shape}")
     q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
 
 
 def _haar_stack(d: int, seed: int, count: int) -> np.ndarray:
     """`count` Haar matrices; item k comes from the k-th SeedSequence child of `seed`.
 
     Counter-based sub-seeds make item k independent of `count` and of any
-    parallel execution order.
+    parallel execution order. Child k is built from its spawn key (k,), so
+    no list of children is held; one `haar_orthogonal` call does every QR.
     """
     if d < 1:
         raise ValueError("stalk dimension must be >= 1")
-    out = np.empty((count, d, d), dtype=np.float64)
-    for k, child in enumerate(np.random.SeedSequence(seed).spawn(count)):
-        out[k] = haar_orthogonal(d, np.random.default_rng(child))
-    return out
+    entropy = np.random.SeedSequence(seed).entropy
+    gaussians = np.empty((count, d, d), dtype=np.float64)
+    for k in range(count):
+        child = np.random.SeedSequence(entropy, spawn_key=(k,))
+        np.random.default_rng(child).standard_normal(out=gaussians[k])
+    return haar_orthogonal(gaussians)
 
 
 def random_edge_sheaf(g: Graph, d: int, seed: int) -> Sheaf:

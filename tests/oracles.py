@@ -14,8 +14,10 @@ independent of the vectorised package code it checks:
 - `loop_write_sheaf_csv`: the per-edge version of `write_sheaf_csv`;
 - `loop_transports_from_bases` and `loop_node_sheaf_from_matrices`: one
   SVD or matrix product per edge;
-- `loop_build_sheaf`: every sheaf kind with per-node bases, a per-node
-  padding count and one SeedSequence stream per Haar draw;
+- `loop_build_sheaf`: every sheaf kind with per-node bases (one
+  `_pca_basis` call per node, the package's fallback for degenerate
+  spectra), a per-node padding count and one SeedSequence stream and one
+  QR per Haar draw;
 - `all_pairs_synth_sbm`: the SBM sampler that draws all n(n-1)/2
   candidate pairs at once.
 """
@@ -34,8 +36,7 @@ from sheaflab.sheaf import (
     _SINGULAR_TOL,
     BuildDiagnostics,
     Sheaf,
-    haar_orthogonal,
-    local_pca,
+    _pca_basis,
     neighbourhood_with_padding,
     trivial_sheaf,
 )
@@ -227,10 +228,14 @@ def loop_node_sheaf_from_matrices(g: Graph, matrices: np.ndarray) -> Sheaf:
 
 
 def _loop_haar(d: int, seed: int, count: int) -> np.ndarray:
+    """One QR per item, with the R-diagonal sign fix, from spawned child k's stream."""
     children = np.random.SeedSequence(seed).spawn(count)
     out = np.empty((count, d, d), dtype=np.float64)
     for k, child in enumerate(children):
-        out[k] = haar_orthogonal(d, np.random.default_rng(child))
+        q, r = np.linalg.qr(np.random.default_rng(child).standard_normal((d, d)))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        out[k] = q * signs
     return out
 
 
@@ -249,7 +254,7 @@ def loop_build_sheaf(g: Graph, kind: str, d: int, seed: int) -> Sheaf:
         nbrs = neighbourhood_with_padding(g, g.features, i, d)
         if one_hop_neighbourhood(g, i).size < d:
             padded += 1
-        bases.append(local_pca(g.features, i, nbrs, d))
+        bases.append(_pca_basis(g.features, i, nbrs, d)[0])
         sv = np.linalg.svd((g.features[nbrs] - g.features[i]).T, compute_uv=False)
         completed += int(np.sum(sv > _RANK_TOL * max(1.0, sv[0])) < d)
     transports, singular = loop_transports_from_bases(g.edges, bases)

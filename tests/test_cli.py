@@ -318,6 +318,44 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
 
+    @pytest.mark.parametrize("command", ["build-sheaf", "spectrum"])
+    @pytest.mark.parametrize(
+        "out", ["{tmp}/missing_dir/x.csv", "{tmp}"], ids=["missing-dir", "directory"]
+    )
+    def test_unusable_out_is_rejected_before_any_build(
+        self, dataset_dir, tmp_path, capsys, monkeypatch, command, out
+    ):
+        import sheaflab.cli as cli
+
+        calls = []
+        for name in ("build_sheaf_by_kind", "build_operator", "spectrum"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
+        code = main([command, "--dataset", dataset_dir, "--out", out.format(tmp=tmp_path)])
+        assert code == 1
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["build-sheaf", "spectrum"])
+    @pytest.mark.parametrize("failure", ["data", "guard"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_run_leaves_no_partial_file(
+        self, dataset_dir, tmp_path, capsys, command, failure, existing
+    ):
+        out = tmp_path / "out.csv"
+        if existing:
+            out.write_text("kept\n")
+        d = "9" if failure == "guard" else "2"  # d > p = 3 is the numerical guard
+        if failure == "data":
+            nodes = tmp_path / "sbm" / "nodes.csv"
+            rows = nodes.read_text().splitlines()
+            rows[1] = ",".join(["0", "nan"] + rows[1].split(",")[2:])
+            nodes.write_text("\n".join(rows) + "\n")
+        code = main([command, "--dataset", dataset_dir, "--d", d, "--out", str(out)])
+        assert code == {"data": 2, "guard": 3}[failure]
+        if existing:
+            assert out.read_text() == "kept\n"
+        else:
+            assert not out.exists()
+
     def test_bad_flag_is_usage_error(self, capsys):
         code = main(["train", "--no-such-flag", "x"])
         assert code == 1

@@ -270,7 +270,7 @@ def test_gauge_isospectral_block_conjugation():
     g, s = random_instance(2, kind="connection")
     lap = sl.sheaf_laplacian(s, g)
     d = s.d
-    blocks = [sl.haar_orthogonal(d, rng) for _ in range(g.n)]
+    blocks = [sl.haar_orthogonal(rng.standard_normal((d, d))) for _ in range(g.n)]
     gmat = np.zeros((lap.dim, lap.dim))
     for i, q in enumerate(blocks):
         gmat[i * d:(i + 1) * d, i * d:(i + 1) * d] = q

@@ -142,7 +142,7 @@ class TestAlign:
         o = sl.align(bu, bv)
         best = np.linalg.norm(bu @ o - bv)
         for _ in range(100):
-            q = sl.haar_orthogonal(3, rng)
+            q = sl.haar_orthogonal(rng.standard_normal((3, 3)))
             assert best <= np.linalg.norm(bu @ q - bv) + 1e-9
 
     def test_gauge_covariance_row_sign_flip(self):
@@ -205,7 +205,7 @@ class TestBuildConnectionSheaf:
     def test_global_rotation_isospectral(self):
         rng = np.random.default_rng(7)
         g = random_graph(rng, n=10, p_feat=4, edge_prob=0.5)
-        rot = sl.haar_orthogonal(4, rng)
+        rot = sl.haar_orthogonal(rng.standard_normal((4, 4)))
         g_rot = sl.from_edge_list(g.n, g.edges, g.features @ rot.T)
         lap = sl.normalise(sl.sheaf_laplacian(sl.build_connection_sheaf(g, 2), g))
         lap_rot = sl.normalise(
@@ -219,7 +219,7 @@ class TestBuildConnectionSheaf:
         rng = np.random.default_rng(8)
         g = random_graph(rng, n=12, p_feat=5, edge_prob=0.4)
         s = sl.build_connection_sheaf(g, 3)
-        gauged = np.stack([b @ sl.haar_orthogonal(3, rng) for b in s.bases])
+        gauged = np.stack([b @ sl.haar_orthogonal(rng.standard_normal((3, 3))) for b in s.bases])
         transports, _ = transports_from_bases(g.edges, gauged)
         s_gauged = sl.Sheaf(
             d=3, n=g.n, kind="connection", edges=g.edges.copy(), transports=transports
@@ -260,7 +260,9 @@ class TestTrivialSheaf:
 class TestHaarOrthogonal:
     def test_d1_uniform_signs(self):
         rng = np.random.default_rng(0)
-        vals = np.array([sl.haar_orthogonal(1, rng)[0, 0] for _ in range(400)])
+        vals = np.array(
+            [sl.haar_orthogonal(rng.standard_normal((1, 1)))[0, 0] for _ in range(400)]
+        )
         assert set(np.unique(vals)) == {-1.0, 1.0}
         assert abs(vals.mean()) < 3 / np.sqrt(400)
 
@@ -268,14 +270,14 @@ class TestHaarOrthogonal:
     def test_orthogonal(self, d):
         rng = np.random.default_rng(d)
         for _ in range(20):
-            q = sl.haar_orthogonal(d, rng)
+            q = sl.haar_orthogonal(rng.standard_normal((d, d)))
             assert np.linalg.norm(q.T @ q - np.eye(d)) < 1e-10
 
     def test_entry_second_moment(self):
         # Monte-Carlo estimate of E[Q_11^2] = 1/d for d=2
         rng = np.random.default_rng(42)
         samples = np.array(
-            [sl.haar_orthogonal(2, rng)[0, 0] ** 2 for _ in range(100_000)]
+            [sl.haar_orthogonal(rng.standard_normal((2, 2)))[0, 0] ** 2 for _ in range(100_000)]
         )
         se = samples.std(ddof=1) / np.sqrt(samples.size)
         assert abs(samples.mean() - 0.5) < 3 * se
@@ -439,7 +441,7 @@ def test_build_matches_loop_oracle(kind, d):
         assert padded > 0 and completed > 0 and (singular > 0 or d > 1)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_haar_draws_use_per_item_seed_streams(d):
     seed = 11
     small = random_graph(np.random.default_rng(18), n=8, edge_prob=0.4)
@@ -448,7 +450,7 @@ def test_haar_draws_use_per_item_seed_streams(d):
 
     def draw(k):
         child = np.random.SeedSequence(seed).spawn(k + 1)[k]
-        return sl.haar_orthogonal(d, np.random.default_rng(child))
+        return sl.haar_orthogonal(np.random.default_rng(child).standard_normal((d, d)))
 
     for g in (small, large):
         expected = np.stack([draw(k) for k in range(g.num_edges)])
@@ -462,6 +464,66 @@ def test_haar_draws_use_per_item_seed_streams(d):
         sl.random_edge_sheaf(large, d, seed).transports[:m],
         sl.random_edge_sheaf(small, d, seed).transports,
     )
+
+
+def test_pca_group_with_degenerate_nodes_matches_loop_oracle():
+    # nodes 0 (tied), 5 (rank-deficient) and 10-14 (ordinary) all have four
+    # neighbours, so one batched SVD covers them; 0 and 5 take the per-node path
+    rng = np.random.default_rng(23)
+    feats = rng.standard_normal((15, 3))
+    feats[0] = 0.0
+    # centred +-e2, +-e1: the SVD returns e1 before e2, the tie rule swaps them
+    feats[1:5] = [[0, 1, 0], [0, -1, 0], [1, 0, 0], [-1, 0, 0]]
+    feats[6:10] = feats[5] + np.outer([1.0, 2.0, -1.0, 3.0], [0.6, 0.0, 0.8])  # one line
+    edges = [(0, k) for k in range(1, 5)] + [(5, k) for k in range(6, 10)]
+    edges += [(u, v) for u in range(10, 15) for v in range(u + 1, 15)]  # 5-clique
+    g = sl.from_edge_list(15, edges, feats)
+    assert all(g.degrees[[0, 5, 10, 11, 12, 13, 14]] == 4)
+    sv = np.linalg.svd(feats[1:5].T, compute_uv=False)
+    assert sv[0] - sv[1] <= 1e-10 * sv[0]
+
+    s = sl.build_connection_sheaf(g, 2)
+    old = loop_build_sheaf(g, "connection", 2, 0)
+    assert np.array_equal(s.bases, old.bases)
+    assert np.array_equal(s.transports, old.transports)
+    assert s.diagnostics == old.diagnostics
+    assert s.diagnostics.rank_completed_bases >= 1
+    for i in (0, 5, 10):  # local_pca is the same routine on a group of one
+        basis = sl.local_pca(feats, i, sl.one_hop_neighbourhood(g, i), 2)
+        assert np.array_equal(basis, old.bases[i])
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_connection_build_pads_each_node_once(monkeypatch):
+    g = random_graph(np.random.default_rng(24), n=30, p_feat=4, edge_prob=0.1)
+    calls = _count_calls(monkeypatch, sl.sheaf, "neighbourhood_with_padding")
+    sl.build_connection_sheaf(g, 2)
+    assert len(calls) == g.n
+
+
+@pytest.mark.parametrize("build", [sl.random_edge_sheaf, sl.random_node_sheaf])
+def test_haar_sheaf_makes_one_haar_call(monkeypatch, build):
+    g = random_graph(np.random.default_rng(25), n=30, p_feat=4, edge_prob=0.3)
+    calls = _count_calls(monkeypatch, sl.sheaf, "haar_orthogonal")
+    build(g, 3, seed=4)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (3, 0, 0)])
+def test_haar_orthogonal_rejects_non_square_stack(shape):
+    with pytest.raises(ValueError, match="stack"):
+        sl.haar_orthogonal(np.ones(shape))
 
 
 class TestReadSheafCsvRejects:
