@@ -16,8 +16,9 @@ independent of the vectorised package code it checks:
   SVD or matrix product per edge;
 - `loop_build_sheaf`: every sheaf kind with per-node bases (one
   `_pca_basis` call per node, the package's fallback for degenerate
-  spectra), a per-node padding count and one SeedSequence stream and one
-  QR per Haar draw;
+  spectra), a per-node padding count and, per Haar draw, numpy's own
+  `np.random.Philox` stream for the item (`philox_item_words`), Box-Muller
+  on that item alone (`philox_item_normals`) and one QR;
 - `all_pairs_synth_sbm`: the SBM sampler that draws all n(n-1)/2
   candidate pairs at once.
 """
@@ -227,12 +228,26 @@ def loop_node_sheaf_from_matrices(g: Graph, matrices: np.ndarray) -> Sheaf:
     return Sheaf(d=d, n=g.n, kind="rand-node", edges=g.edges.copy(), transports=transports)
 
 
+def philox_item_words(seed: int, k: int, size: int) -> np.ndarray:
+    """Item k's first `size` raw words: numpy's Philox4x64-10, key `seed`, counter (0, k, 0, 0)."""
+    counter = np.array([0, k, 0, 0], dtype=np.uint64)
+    return np.random.Philox(key=seed, counter=counter).random_raw(size)
+
+
+def philox_item_normals(seed: int, k: int, size: int) -> np.ndarray:
+    """Item k's first `size` Gaussians: Box-Muller on its own words, one item at a time."""
+    pairs = -(-size // 2)
+    u = (philox_item_words(seed, k, 2 * pairs) >> np.uint64(11)) * 2.0**-53
+    rad = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    t = (2.0 * np.pi) * u[1::2]
+    return np.column_stack([rad * np.cos(t), rad * np.sin(t)]).ravel()[:size]
+
+
 def _loop_haar(d: int, seed: int, count: int) -> np.ndarray:
-    """One QR per item, with the R-diagonal sign fix, from spawned child k's stream."""
-    children = np.random.SeedSequence(seed).spawn(count)
+    """One QR per item, with the R-diagonal sign fix, from item k's own Philox stream."""
     out = np.empty((count, d, d), dtype=np.float64)
-    for k, child in enumerate(children):
-        q, r = np.linalg.qr(np.random.default_rng(child).standard_normal((d, d)))
+    for k in range(count):
+        q, r = np.linalg.qr(philox_item_normals(seed, k, d * d).reshape(d, d))
         signs = np.sign(np.diag(r))
         signs[signs == 0] = 1.0
         out[k] = q * signs

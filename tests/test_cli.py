@@ -318,6 +318,19 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "2**128"])
+    @pytest.mark.parametrize("argv", [
+        ["build-sheaf", "--kind", "rand-edge", "--out", "{tmp}/s.csv"],
+        ["train", "--kind", "rand-node"],
+    ], ids=["build-sheaf-rand-edge", "train-rand-node"])
+    def test_seed_out_of_range_is_usage_error(self, dataset_dir, tmp_path, capsys, argv, seed):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code = main(argv[:1] + ["--dataset", dataset_dir, f"--seed={seed}"] + argv[1:])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: seed must lie in [0, 2**128)") and err.count("\n") == 1
+        assert out == "" and not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("command", ["build-sheaf", "spectrum"])
     @pytest.mark.parametrize(
         "out", ["{tmp}/missing_dir/x.csv", "{tmp}"], ids=["missing-dir", "directory"]

@@ -9,7 +9,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 import sheaflab as sl
 from sheaflab.errors import DataError, GuardError
 from conftest import random_graph, random_orthonormal_basis
-from oracles import loop_build_sheaf, loop_write_sheaf_csv
+from oracles import (
+    loop_build_sheaf,
+    loop_write_sheaf_csv,
+    philox_item_normals,
+    philox_item_words,
+)
 
 
 class TestNeighbourhoodWithPadding:
@@ -443,27 +448,75 @@ def test_build_matches_loop_oracle(kind, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_haar_draws_use_per_item_seed_streams(d):
-    seed = 11
     small = random_graph(np.random.default_rng(18), n=8, edge_prob=0.4)
     large = random_graph(np.random.default_rng(19), n=14, edge_prob=0.5)
     assert small.num_edges < large.num_edges
 
-    def draw(k):
-        child = np.random.SeedSequence(seed).spawn(k + 1)[k]
-        return sl.haar_orthogonal(np.random.default_rng(child).standard_normal((d, d)))
+    for seed in (11, 3 * 2**64 + 5):  # the second sets the key's upper word
+        def draw(k):
+            return sl.haar_orthogonal(philox_item_normals(seed, k, d * d).reshape(d, d))
 
-    for g in (small, large):
-        expected = np.stack([draw(k) for k in range(g.num_edges)])
-        assert np.array_equal(sl.random_edge_sheaf(g, d, seed).transports, expected)
-        qs = np.stack([draw(k) for k in range(g.n)])
-        expected = sl.node_sheaf_from_matrices(g, qs).transports
-        assert np.array_equal(sl.random_node_sheaf(g, d, seed).transports, expected)
-    # draw k does not depend on how many items the graph has
-    m = small.num_edges
-    assert np.array_equal(
-        sl.random_edge_sheaf(large, d, seed).transports[:m],
-        sl.random_edge_sheaf(small, d, seed).transports,
-    )
+        for g in (small, large):
+            expected = np.stack([draw(k) for k in range(g.num_edges)])
+            assert np.array_equal(sl.random_edge_sheaf(g, d, seed).transports, expected)
+            qs = np.stack([draw(k) for k in range(g.n)])
+            expected = sl.node_sheaf_from_matrices(g, qs).transports
+            assert np.array_equal(sl.random_node_sheaf(g, d, seed).transports, expected)
+        # draw k does not depend on how many items the graph has
+        m = small.num_edges
+        assert np.array_equal(
+            sl.random_edge_sheaf(large, d, seed).transports[:m],
+            sl.random_edge_sheaf(small, d, seed).transports,
+        )
+
+
+class TestPhiloxDraws:
+    """The counter-based stream behind every Haar draw, and the Gaussians it gives."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 11, 2**63 + 7, 3 * 2**64 + 5, 2**128 - 1])
+    def test_raw_words_match_numpy_philox(self, seed):
+        items = np.array([0, 1, 7, 2**32 - 1, 2**32, 2**40, 2**63, 2**64 - 1], dtype=np.uint64)
+        for blocks in (1, 2, 3, 4):
+            words = sl.sheaf._philox_words(seed, items, blocks)
+            assert words.shape == (items.size, 4 * blocks) and words.dtype == np.uint64
+            for row, k in zip(words, items):
+                assert np.array_equal(row, philox_item_words(seed, int(k), 4 * blocks))
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**200])
+    def test_seed_out_of_range(self, seed):
+        g = random_graph(np.random.default_rng(26), n=6)
+        for build in (sl.random_edge_sheaf, sl.random_node_sheaf):
+            with pytest.raises(ValueError, match="seed"):
+                build(g, 2, seed)
+
+    def test_largest_seed_accepted(self):
+        g = random_graph(np.random.default_rng(26), n=6)
+        assert np.array_equal(
+            sl.random_edge_sheaf(g, 2, 2**128 - 1).transports,
+            loop_build_sheaf(g, "rand-edge", 2, 2**128 - 1).transports,
+        )
+
+    def test_gaussian_moments(self):
+        z = sl.sheaf._standard_normals(3, 50_000, 4).ravel()  # 200k draws
+        assert z.size == 200_000
+        assert abs(z.mean()) < 5 / np.sqrt(z.size)
+        assert abs(z.var() - 1.0) < 5 * np.sqrt(2 / z.size)
+
+    @staticmethod
+    def _path(m):
+        return sl.from_edge_list(m + 1, [(i, i + 1) for i in range(m)], np.zeros((m + 1, 1)))
+
+    def test_d1_transport_signs_balanced(self):
+        t = sl.random_edge_sheaf(self._path(40_000), 1, seed=7).transports.ravel()
+        assert set(np.unique(t)) == {-1.0, 1.0}
+        assert abs(np.mean(t == 1.0) - 0.5) < 5 * 0.5 / np.sqrt(t.size)
+
+    def test_d2_entry_moment_and_reflections(self):
+        t = sl.random_edge_sheaf(self._path(40_000), 2, seed=8).transports
+        m = t.shape[0]
+        # O_00 = cos(theta), theta uniform: E[cos^2] = 1/2, Var[cos^2] = 1/8
+        assert abs(np.mean(t[:, 0, 0] ** 2) - 0.5) < 5 * np.sqrt(1 / 8 / m)
+        assert abs(np.mean(np.linalg.det(t) < 0) - 0.5) < 5 * 0.5 / np.sqrt(m)
 
 
 def test_pca_group_with_degenerate_nodes_matches_loop_oracle():
