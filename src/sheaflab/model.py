@@ -80,6 +80,8 @@ class TrainConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
+        if not 0 <= self.seed < 1 << 128:  # the Haar sheaves' Philox key range, for every kind
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
 def config_field_types() -> dict[str, type]:
@@ -336,11 +338,11 @@ class DiffusionModel:
 
 
 class BaselineModel:
-    """Two layers act(P X W1) then P H W2; `arrays` is the list [W1, W2].
+    """Two layers H = act(P X W1) then logits P (H W2); `arrays` is the list [W1, W2].
 
     P is the GCN propagation matrix, or the identity when `prop` is None,
     which makes this the MLP. P X is kept for the last features array, which
-    must not be mutated.
+    must not be mutated; every other propagation runs at the class width.
     """
 
     def __init__(self, prop: BlockLaplacian | None, arrays, activation: str):
@@ -356,13 +358,13 @@ class BaselineModel:
             self._propagated = (features, self._propagate(features))
         pre = self._propagated[1] @ w1
         hidden = _act(pre, self.activation)
-        return self._propagate(hidden) @ w2, (features, pre, hidden)
+        return self._propagate(hidden @ w2), (self._propagated[1], pre, hidden)
 
     def backward(self, cache, dlogits):
-        features, pre, hidden = cache
+        px, pre, hidden = cache
         d_out = self._propagate(dlogits)                        # P^T = P
         d_pre = (d_out @ self.arrays[1].T) * _act_grad(pre, self.activation)
-        return [features.T @ self._propagate(d_pre), hidden.T @ d_out]
+        return [px.T @ d_pre, hidden.T @ d_out]                 # X^T P d_pre = (P X)^T d_pre
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,22 @@ class TestExitCodes:
         assert err.startswith("error: seed must lie in [0, 2**128)") and err.count("\n") == 1
         assert out == "" and not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("kind,seed", [
+        ("connection", "-1"), ("mlp", str(2**130)), ("gcn", str(2**128)),
+    ], ids=["connection-negative", "mlp-2**130", "gcn-2**128"])
+    def test_train_seed_is_checked_before_any_build(
+        self, dataset_dir, capsys, monkeypatch, kind, seed
+    ):
+        import sheaflab.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "build_operator", lambda *a: calls.append(a))
+        code = main(["train", "--dataset", dataset_dir, "--kind", kind, f"--seed={seed}"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: seed must lie in [0, 2**128)") and err.count("\n") == 1
+        assert out == "" and calls == []
+
     @pytest.mark.parametrize("command", ["build-sheaf", "spectrum"])
     @pytest.mark.parametrize(
         "out", ["{tmp}/missing_dir/x.csv", "{tmp}"], ids=["missing-dir", "directory"]

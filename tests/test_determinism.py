@@ -2,11 +2,13 @@
 
 Bit-identical results hold for one machine, one BLAS kernel and one numpy
 SIMD dispatch. Changing the thread count must not change a bit; a libm in
-place of numpy's SIMD transcendentals moves the Gaussians by about 1e-15.
+place of numpy's SIMD transcendentals moves the Gaussians by about 1e-15,
+and another OpenBLAS kernel moves transports and logits in the last bits.
 """
 
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -36,21 +38,63 @@ print(digest(train(ds, "connection", TrainConfig(epochs=5, patience=0), 0)[0]))
 """
 
 
-def _hashes(threads: int) -> list[str]:
+_CORE_RUN = """
+import sys
+import numpy as np
+import sheaflab as sl
+from sheaflab.model import BaselineModel, TrainConfig, gcn_propagation_matrix, train
+
+ds = sl.synth_sbm(600, 2, 0.03, 0.006, 8, 2.0, seed=3)
+arrays, _ = train(ds, "gcn", TrainConfig(epochs=5, patience=0), 0)
+gcn = BaselineModel(gcn_propagation_matrix(ds.graph), arrays, "relu")
+np.savez(
+    sys.argv[1],
+    connection=sl.build_connection_sheaf(ds.graph, 2).transports,
+    rand_edge=sl.random_edge_sheaf(ds.graph, 2, seed=5).transports,
+    gcn_logits=gcn.forward(ds.graph.features)[0],
+)
+"""
+
+
+def _run(script: str, *args: str, threads: int = 1, coretype: str | None = None) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     src = str(Path(sl.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", _HASH_RUN], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300
     )
     assert run.returncode == 0, run.stderr
-    return run.stdout.split()
+    return run.stdout
 
 
 def test_thread_count_leaves_sheaves_and_weights_bitwise_equal():
-    one, two = _hashes(1), _hashes(2)
+    one, two = _run(_HASH_RUN, threads=1).split(), _run(_HASH_RUN, threads=2).split()
     assert len(one) == 3  # rand-edge and connection transports, 5-epoch connection weights
     assert one == two
+
+
+def _openblas_on_x86() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        return False
+    return "openblas" in blas.get("name", "").lower() and platform.machine() in ("x86_64", "AMD64")
+
+
+@pytest.mark.skipif(not _openblas_on_x86(), reason="needs numpy on OpenBLAS on x86-64")
+def test_openblas_core_type_moves_results_within_tolerance(tmp_path):
+    # the run-time kernel against the oldest x86-64 one; measured gaps on a
+    # SkylakeX host: connection transports 8.7e-14, rand-edge 1.1e-16, logits 3e-16
+    default, prescott = tmp_path / "default.npz", tmp_path / "prescott.npz"
+    _run(_CORE_RUN, str(default))
+    _run(_CORE_RUN, str(prescott), coretype="Prescott")
+    a, b = np.load(default), np.load(prescott)
+    for key in ("connection", "rand_edge"):
+        np.testing.assert_allclose(a[key], b[key], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a["gcn_logits"], b["gcn_logits"], rtol=1e-10)
 
 
 def _math_normals(seed: int, k: int, size: int) -> list[float]:

@@ -345,14 +345,36 @@ class TestGcnMlp:
         ws = [rng.standard_normal((4, 5)), rng.standard_normal((5, 3))]
         model = BaselineModel(prop, ws, "relu")
         x = g.features
-        expected = sl.apply(prop, np.maximum(sl.apply(prop, x) @ ws[0], 0.0)) @ ws[1]
+        expected = sl.apply(prop, np.maximum(sl.apply(prop, x) @ ws[0], 0.0) @ ws[1])
         calls = []
         monkeypatch.setattr(sl.model, "apply", lambda *a: calls.append(1) or sl.apply(*a))
         for _ in range(2):
             assert_array_equal(model.forward(x)[0], expected)
-        assert len(calls) == 3  # P X once, P H per forward
+        assert len(calls) == 3  # P X once, P (H W2) per forward
         assert_array_equal(model.forward(x.copy())[0], expected)  # a new object: P X again
         assert len(calls) == 5
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    def test_gcn_forward_and_gradients_match_dense_oracle(self, activation):
+        # irregular random graphs whose last two nodes are isolated, and n = 1
+        rng = np.random.default_rng(8)
+        for n in (1, 5, 9, 14):
+            raw = [(u, v) for u in range(n - 2) for v in range(u + 1, n - 2) if rng.random() < 0.4]
+            g = sl.from_edge_list(n, raw, rng.standard_normal((n, 3)))
+            w1, w2 = rng.standard_normal((3, 6)), rng.standard_normal((6, 2))
+            model = BaselineModel(gcn_propagation_matrix(g), [w1, w2], activation)
+            logits, cache = model.forward(g.features)
+            dlogits = rng.standard_normal(logits.shape)
+            grad_w1, grad_w2 = model.backward(cache, dlogits)
+
+            dense = self.dense_gcn(g)
+            px = dense @ g.features
+            pre = px @ w1
+            hidden = sl.model._act(pre, activation)
+            d_pre = (dense @ dlogits @ w2.T) * sl.model._act_grad(pre, activation)
+            assert_allclose(logits, dense @ hidden @ w2, rtol=1e-12)
+            assert_allclose(grad_w1, px.T @ d_pre, rtol=1e-12)
+            assert_allclose(grad_w2, hidden.T @ dense @ dlogits, rtol=1e-12)
 
     def test_mlp_zero_weights_uniform(self):
         feats = np.random.default_rng(1).standard_normal((5, 3))
@@ -462,9 +484,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("kind,dropout,forwards,applies", [
         ("connection", 0.0, 5 + 2, 4 * 5 + 4),
-        ("gcn", 0.0, 0, 3 * 5 + 3),
+        ("gcn", 0.0, 0, 2 * 5 + 3),
         ("connection", 0.3, 2 * 5 + 1, 6 * 5 + 2),
-        ("gcn", 0.3, 0, 6 * 5 + 1),
+        ("gcn", 0.3, 0, 5 * 5 + 1),
     ], ids=["connection", "gcn", "connection-dropout", "gcn-dropout"])
     def test_forward_and_apply_calls(self, monkeypatch, kind, dropout, forwards, applies):
         # 5 epochs at T = 2; at dropout 0 the evaluation forward doubles as the
