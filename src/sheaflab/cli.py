@@ -94,10 +94,11 @@ def _output_file(path: str):
 
 
 def cmd_build_sheaf(args) -> int:
+    cfg = load_train_config(None, {"d": args.d, "seed": args.seed})  # before any file or build
     with _output_file(args.out):
         ds = load_dataset(args.dataset)
         t0 = time.perf_counter()
-        sheaf = build_sheaf_by_kind(ds.graph, args.kind, args.d, args.seed)
+        sheaf = build_sheaf_by_kind(ds.graph, args.kind, cfg.d, cfg.seed)
         build_seconds = time.perf_counter() - t0
         write_sheaf_csv(sheaf, args.out)
     _emit(
@@ -178,9 +179,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    cfg = load_train_config(None, {"d": args.d, "seed": args.seed})  # before any file or build
     with _output_file(args.out):
         ds = load_dataset(args.dataset)
-        lap, _, _ = build_operator(ds.graph, args.kind, TrainConfig(d=args.d, seed=args.seed))
+        lap, _, _ = build_operator(ds.graph, args.kind, cfg)
         eigs = spectrum(lap)
         with open(args.out, "w") as fh:
             fh.write("eigenvalue\n")

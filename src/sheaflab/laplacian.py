@@ -8,17 +8,18 @@ off-diagonal block is minus the u-to-v transport. Spectra fall back to a
 dense symmetric eigensolver behind a size guard.
 
 `apply` runs block-sparse through a slot plan that it builds on an
-operator's first call and caches on it. The 2m off-diagonal contributions
-(each edge's (v, u) block in edge order, then the mirrored transposes in
-edge order) are stable-sorted by destination node; slot k holds every
-node's k-th contribution, so no destination repeats inside a slot. Slots
-smaller than `_MIN_SLOT` (a hub's long run) form one `np.add.at` tail.
-Every output entry thus sums the same terms in the same order as a
-block-by-block loop. Bitwise equality also needs each block product to
-take numpy's code path for the full-length product: the transposed blocks
-stay a transposed view of contiguous blocks (a contiguous copy takes
-another path at width 1). The plan copies the blocks, so an operator must
-not be mutated after its first `apply`.
+operator's first call and caches on it. The plan numbers the nodes by
+descending degree (a stable sort) and ranks the 2m off-diagonal
+contributions inside their destination (each edge's (v, u) block in edge
+order, then the mirrored transposes). Slot k holds every node's k-th
+contribution, so its destinations are the positions [0, c_k) of the c_k
+nodes of degree > k. Slots smaller than `_MIN_SLOT` (a hub's long run) form
+one `np.add.at` tail. Every entry thus sums the same terms in the same order
+as a block-by-block loop, bitwise equal to it at width f >= 2 and at d = 1.
+The plan copies the blocks (mirrored ones transposed), so an operator must
+not be mutated after its first `apply`; at width 1 and d >= 2 numpy's
+matrix-vector product rounds differently for a mirrored block, by at most
+2d eps (|L| |x|) per entry.
 """
 
 from __future__ import annotations
@@ -120,61 +121,59 @@ def normalise(lap: BlockLaplacian) -> BlockLaplacian:
     )
 
 
-def _slot_plan(lap: BlockLaplacian) -> tuple[list[tuple], tuple]:
-    """(slots, tail) of the module docstring's plan.
-
-    Slots are in order, each sorted by destination; the tail is in slot
-    order. Each group is (blocks, sources, destinations) of its pass-1
-    items, then of its pass-2 items, whose blocks are transposed views.
+def _slot_plan(lap: BlockLaplacian) -> tuple:
+    """(perm, pos, diag, sizes, blocks, src, tail_dst): the nodes by degree, their positions,
+    the diagonal blocks in `perm` order, the slot sizes, every contribution's block and
+    source node in slot-major order (slots sorted by position, then the tail), and the
+    tail's destination positions.
     """
     m = lap.num_edges
-    us, vs = lap.edges[:, 0], lap.edges[:, 1]
-    dst = np.concatenate([vs, us])
-    order = np.argsort(dst, kind="stable")
-    counts = np.bincount(dst, minlength=lap.n)
-    rank = np.empty(2 * m, dtype=np.intp)
-    rank[order] = np.arange(2 * m) - (np.cumsum(counts) - counts)[dst[order]]
-    items = order[np.argsort(rank[order], kind="stable")]  # by slot, then destination
-    sizes = np.bincount(rank)  # non-increasing: slot k holds the nodes of degree > k
-    *slots, tail = np.split(items, np.cumsum(sizes[sizes >= _MIN_SLOT]))
-
-    def group(ix):
-        p1, p2 = ix[ix < m], ix[ix >= m] - m
-        return (
-            lap.off[p1], us[p1], vs[p1],
-            np.transpose(lap.off[p2], (0, 2, 1)), vs[p2], us[p2],
-        )
-
-    return [group(ix) for ix in slots], group(tail)
+    deg = np.bincount(lap.edges.ravel(), minlength=lap.n)
+    perm = np.argsort(-deg, kind="stable")
+    pos = np.argsort(perm)
+    dst = pos[np.concatenate([lap.edges[:, 1], lap.edges[:, 0]])]
+    order = np.argsort(dst, kind="stable")  # by destination, then pass and edge
+    dst = dst[order]
+    rank = np.arange(2 * m) - (np.cumsum(deg[perm]) - deg[perm])[dst]
+    sizes = np.bincount(rank)  # non-increasing: slot k holds the c_k nodes of degree > k
+    slot_of = np.empty_like(order)
+    slot_of[order] = (np.cumsum(sizes) - sizes)[rank] + dst
+    del order, dst, rank
+    blocks = np.empty((2 * m, lap.d, lap.d))
+    blocks[slot_of[:m]] = lap.off
+    blocks[slot_of[m:]] = np.transpose(lap.off, (0, 2, 1))
+    src = np.empty_like(slot_of)
+    src[slot_of] = lap.edges.T.ravel()
+    slots, tail = sizes[sizes >= _MIN_SLOT], sizes[sizes < _MIN_SLOT]
+    tail_dst = np.arange(tail.sum()) - np.repeat(np.cumsum(tail) - tail, tail)
+    return perm, pos, lap.diag[perm], slots.tolist(), blocks, src, tail_dst
 
 
 def apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
-    """Block-sparse product L x for x of shape (nd,) or (nd, f).
-
-    The diagonal products come first, then one stacked block product and
-    one `out[dst] += ...` per slot of the operator's plan, then the tail's
-    1-D `np.add.at` (see the module docstring).
-    """
+    """Block-sparse product L x, x of shape (nd,) or (nd, f), run through the slot plan."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != lap.dim:
         raise ValueError(f"row count {x.shape[0]} does not match nd={lap.dim}")
     vec = x.ndim == 1
     xb = (x[:, None] if vec else x).reshape(lap.n, lap.d, -1)
-    out = np.matmul(lap.diag, xb)
-    if lap.num_edges:
-        if lap._plan is None:
-            lap._plan = _slot_plan(lap)
-        slots, tail = lap._plan
-        for b1, s1, d1, b2, s2, d2 in slots:
-            out[d1] += np.matmul(b1, xb[s1])
-            out[d2] += np.matmul(b2, xb[s2])
-        k = lap.d * xb.shape[2]
-        flat, offs = out.reshape(-1), np.arange(k)
-        for blocks, src, dst in (tail[:3], tail[3:]):
-            idx = np.multiply(dst[:, None], k, out=np.empty((dst.size, k), dtype=np.intp))
-            idx += offs
-            np.add.at(flat, idx.ravel(), np.matmul(blocks, xb[src]).reshape(-1))
-    out = out.reshape(lap.dim, -1)
+    if lap._plan is None:
+        lap._plan = _slot_plan(lap)
+    perm, pos, diag, sizes, blocks, src, tail_dst = lap._plan
+    out = np.matmul(diag, xb[perm])
+    lo = 0
+    gathered, product = np.empty((2, sizes[0] if sizes else 0) + xb.shape[1:])
+    for size in sizes:
+        hi = lo + size
+        # every index is valid; "clip" fills the buffer in place, "raise" would copy it
+        np.take(xb, src[lo:hi], axis=0, out=gathered[:size], mode="clip")
+        out[:size] += np.matmul(blocks[lo:hi], gathered[:size], out=product[:size])
+        lo = hi
+    del gathered, product  # before the tail's and the reordering's temporaries
+    k = lap.d * xb.shape[2]
+    idx = np.multiply(tail_dst[:, None], k, out=np.empty((tail_dst.size, k), dtype=np.intp))
+    idx += np.arange(k)
+    np.add.at(out.reshape(-1), idx.ravel(), np.matmul(blocks[lo:], xb[src[lo:]]).reshape(-1))
+    out = out[pos].reshape(lap.dim, -1)
     return out[:, 0] if vec else out
 
 

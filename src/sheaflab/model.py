@@ -146,7 +146,7 @@ def _sheaf_layer_cached(lap, x, w1, w2, activation):
     n, d = lap.n, lap.d
     xb = x.reshape(n, d, -1)
     lin = np.matmul(w1, xb)                       # (I kron W1) X, per-node blocks
-    pre = apply(lap, np.matmul(lin, w2).reshape(x.shape))
+    pre = apply(lap, lin.reshape(x.shape) @ w2)   # one (nd, f) product
     x_next = x - _act(pre, activation)
     return x_next, lin, pre
 
@@ -223,15 +223,12 @@ def backward(
 
     for t in reversed(range(model.steps)):
         k = model.pair_index(t)
-        pre = cache.pres[t]
-        lin = cache.lins[t]
-        xb = cache.xs[t].reshape(n, d, -1)
-
-        d_pre = -g * _act_grad(pre, model.activation)
+        d_pre = -g * _act_grad(cache.pres[t], model.activation)
         d_mid = apply(model.lap, d_pre)                   # L^T = L
-        grads[k + 1] += lin.reshape(n * d, -1).T @ d_mid
-        d_lin = d_mid.reshape(n, d, -1) @ ws[k + 1].T
-        grads[k] += np.einsum("nif,njf->ij", d_lin, xb)
+        grads[k + 1] += cache.lins[t].reshape(n * d, -1).T @ d_mid
+        d_lin = (d_mid @ ws[k + 1].T).reshape(n, d, -1)  # one (nd, f) product
+        xb = cache.xs[t].reshape(n, d, -1)
+        grads[k] += np.tensordot(d_lin, xb, axes=([0, 2], [0, 2]))  # one (d, nf) @ (nf, d)
         g = g + np.matmul(ws[k].T, d_lin).reshape(n * d, -1)
 
     grads[0] = g.reshape(n, -1).T @ cache.features
@@ -458,6 +455,7 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
         grads = model.backward(cache, cross_entropy_grad(logits, labels, split.train))
         _step(model.arrays, grads, cfg, adam)
 
+        del logits, cache, grads, evaluated  # one forward cache alive at a time
         evaluated = model.forward(g.features)
         eval_logits = evaluated[0]
         masks = (split.train, split.val, split.test)

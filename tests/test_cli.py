@@ -322,7 +322,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["build-sheaf", "--kind", "rand-edge", "--out", "{tmp}/s.csv"],
         ["train", "--kind", "rand-node"],
-    ], ids=["build-sheaf-rand-edge", "train-rand-node"])
+        # the kinds that draw nothing share the seed range too
+        ["build-sheaf", "--kind", "connection", "--out", "{tmp}/s.csv"],
+        ["build-sheaf", "--kind", "trivial", "--out", "{tmp}/s.csv"],
+        ["spectrum", "--kind", "connection", "--out", "{tmp}/s.csv"],
+        ["spectrum", "--kind", "trivial", "--out", "{tmp}/s.csv"],
+        ["spectrum", "--kind", "rand-edge", "--out", "{tmp}/s.csv"],
+    ], ids=[
+        "build-sheaf-rand-edge", "train-rand-node", "build-sheaf-connection",
+        "build-sheaf-trivial", "spectrum-connection", "spectrum-trivial", "spectrum-rand-edge",
+    ])
     def test_seed_out_of_range_is_usage_error(self, dataset_dir, tmp_path, capsys, argv, seed):
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         code = main(argv[:1] + ["--dataset", dataset_dir, f"--seed={seed}"] + argv[1:])

@@ -344,14 +344,28 @@ def test_write_laplacian_coo_chunked_matches_loop_oracle(tmp_path, monkeypatch, 
         assert new.read_bytes() == old.read_bytes()
 
 
+def width_one_bound(op, x):
+    """2d eps (|L| |x|) entrywise: the laplacian module's width-1 tolerance for d >= 2."""
+    abs_op = sl.BlockLaplacian(op.n, op.d, op.edges, np.abs(op.diag), np.abs(op.off))
+    return 2 * op.d * np.finfo(np.float64).eps * addat_apply(abs_op, np.abs(x))
+
+
+def assert_matches_addat(op, x):
+    # bitwise at f >= 2 and at d = 1; a width-1 input at d >= 2 within its stated tolerance
+    got, want = sl.apply(op, x), addat_apply(op, x)
+    if op.d == 1 or (x.ndim == 2 and x.shape[1] >= 2):
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= width_one_bound(op, x))
+
+
 @pytest.mark.parametrize("normalised", [False, True])
 def test_apply_matches_addat_oracle(normalised):
     rng = np.random.default_rng(5)
     for lap in oracle_gate_laplacians():
         lap = sl.normalise(lap) if normalised else lap
         for shape in ((lap.dim,), (lap.dim, 1), (lap.dim, 3), (lap.dim, 8)):
-            x = rng.standard_normal(shape)
-            assert np.array_equal(sl.apply(lap, x), addat_apply(lap, x))
+            assert_matches_addat(lap, rng.standard_normal(shape))
 
 
 def test_apply_gcn_operator_matches_addat_oracle():
@@ -388,24 +402,54 @@ def test_apply_slot_plan_matches_addat_oracle(monkeypatch, min_slot):
     for lap in (*oracle_gate_laplacians(), *star_laplacians()):
         for op in (lap, sl.normalise(lap)):
             for shape in ((op.dim,), (op.dim, 1), (op.dim, 3), (op.dim, 8)):
-                x = rng.standard_normal(shape)
-                assert np.array_equal(sl.apply(op, x), addat_apply(op, x))
+                assert_matches_addat(op, rng.standard_normal(shape))
 
 
-def test_slot_plan_structure():
-    for lap in star_laplacians():
-        slots, tail = sl.laplacian._slot_plan(lap)
-        assert 1 <= len(slots) <= -(-2 * lap.num_edges // sl.laplacian._MIN_SLOT)
-        sizes = [d1.size + d2.size for _, _, d1, _, _, d2 in slots]
-        assert min(sizes) >= sl.laplacian._MIN_SLOT and sizes == sorted(sizes, reverse=True)
-        assert sum(sizes) + tail[2].size + tail[5].size == 2 * lap.num_edges
-        for b1, s1, d1, b2, s2, d2 in slots:
-            dst = np.concatenate([d1, d2])
-            assert np.unique(dst).size == dst.size  # destinations are distinct inside a slot
-            # pass-2 blocks are a transposed view of contiguous blocks
-            assert b1.flags.c_contiguous and b2.base.flags.c_contiguous
-            assert not b2.flags.c_contiguous or lap.d == 1
-        assert tail[2].size + tail[5].size >= lap.n - 1 - sl.laplacian._MIN_SLOT  # the hub's
+def contributions(lap):
+    """Each node's off-diagonal (block, source) terms in the oracle's order, pass 1 first."""
+    terms = [[] for _ in range(lap.n)]
+    for block, (u, v) in zip(lap.off, lap.edges):
+        terms[v].append((block, u))
+    for block, (u, v) in zip(lap.off, lap.edges):
+        terms[u].append((block.T, v))
+    return terms
+
+
+def test_slot_plan_structure(monkeypatch):
+    stars = list(star_laplacians())
+    for min_slot in (1, 4, sl.laplacian._MIN_SLOT):  # slots only, slots and tail, the default
+        monkeypatch.setattr(sl.laplacian, "_MIN_SLOT", min_slot)
+        for lap in (*oracle_gate_laplacians(), *stars):
+            check_slot_plan(lap, min_slot)
+        for lap in stars if min_slot > 1 else ():  # the hub's long run is in the tail
+            *_, sizes, _, _, tail_dst = sl.laplacian._slot_plan(lap)
+            deg = np.sort(np.bincount(lap.edges.ravel()))[::-1]
+            assert len(sizes) == deg[min_slot - 1]  # c_k >= min_slot iff k < that degree
+            assert np.count_nonzero(tail_dst == 0) == deg[0] - len(sizes) > 1000
+
+
+def check_slot_plan(lap, min_slot):
+    perm, pos, diag, sizes, blocks, src, tail_dst = sl.laplacian._slot_plan(lap)
+    deg = np.bincount(lap.edges.ravel(), minlength=lap.n)
+    assert np.array_equal(perm, np.argsort(-deg, kind="stable"))  # stable descending sort
+    assert np.array_equal(pos[perm], np.arange(lap.n))
+    assert np.array_equal(diag, lap.diag[perm])
+    assert blocks.flags.c_contiguous and blocks.shape == (2 * lap.num_edges, lap.d, lap.d)
+    assert all(size >= min_slot for size in sizes) and sizes == sorted(sizes, reverse=True)
+    assert sum(sizes) + tail_dst.size == 2 * lap.num_edges
+    # slot k's destinations are the positions [0, c_k), c_k the nodes of degree > k;
+    # the tail restarts at position 0 for each of its slots
+    starts = np.flatnonzero(tail_dst == 0)
+    tail_sizes = np.diff(np.append(starts, tail_dst.size))
+    c = np.bincount(np.arange(2 * lap.num_edges) - np.repeat(np.cumsum(deg) - deg, deg))
+    assert np.array_equal(np.concatenate([sizes, tail_sizes]).astype(int), c)
+    ranks = np.repeat(np.arange(c.size), c)
+    dests = np.concatenate([np.arange(size) for size in c] or [np.zeros(0, int)])
+    assert np.array_equal(dests[sum(sizes):], tail_dst)
+    terms = contributions(lap)
+    for item, (k, p) in enumerate(zip(ranks, dests)):
+        block, source = terms[perm[p]][k]
+        assert np.array_equal(blocks[item], block) and src[item] == source
 
 
 def test_slot_plan_is_built_on_first_apply_and_cached(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -10,6 +12,7 @@ from sheaflab.model import (
     ForwardCache,
     TrainConfig,
     backward,
+    build_operator,
     build_sheaf_by_kind,
     cross_entropy,
     cross_entropy_grad,
@@ -518,6 +521,20 @@ class TestTrain:
         monkeypatch.setattr(sl.laplacian, "_slot_plan", counted)
         train(self._dataset(5), kind, TrainConfig(epochs=5, patience=0, seed=0), 0)
         assert len(built) == 1
+
+    def test_one_forward_cache_alive_during_training(self):
+        # the benchmark's n = 4000 data and connection model: a 9.9 MB peak, and 13.6 MB
+        # when the last epoch's forward cache stays alive through the evaluation forward
+        ds = sl.synth_sbm(4000, 2, 14.4 / 4000, 3.6 / 4000, 4, 2.0, seed=1)
+        cfg = TrainConfig(epochs=3, seed=0)
+        built = build_operator(ds.graph, "connection", cfg)
+        tracemalloc.start()
+        try:
+            train(ds, "connection", cfg, 0, built)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11e6
 
     def test_unlabelled_dataset(self):
         ds = self._dataset()
