@@ -2,12 +2,11 @@
 
 from .data import Dataset, Split, generate_splits, load_dataset, save_dataset, synth_sbm
 from .errors import DataError, GuardError
-from .graph import Graph, degree, from_edge_list, homophily, one_hop_neighbourhood
+from .graph import Graph, from_edge_list, homophily, one_hop_neighbourhood
 from .laplacian import (
     BlockLaplacian,
     apply,
     dirichlet_energy,
-    euler_diffusion,
     normalise,
     sheaf_laplacian,
     spectrum,
@@ -24,7 +23,6 @@ from .model import (
     encode,
     forward,
     init_params,
-    sheaf_layer,
     train,
 )
 from .sheaf import (
@@ -32,7 +30,6 @@ from .sheaf import (
     align,
     build_connection_sheaf,
     haar_orthogonal,
-    local_pca,
     neighbourhood_with_padding,
     node_sheaf_from_matrices,
     random_edge_sheaf,

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .data import load_dataset, save_dataset, synth_sbm
 from .errors import DataError, GuardError
 from .graph import homophily
 from .laplacian import spectrum
-from .model import EPOCH_KEYS, SHEAF_KINDS, TrainConfig, build_operator, build_sheaf_by_kind
-from .model import config_field_types, train
+from .model import EPOCH_KEYS, SHEAF_KINDS, TrainConfig, build_operator, build_sheaf_by_kind, train
 from .sheaf import BuildDiagnostics, write_sheaf_csv
 
 EXIT_OK = 0
@@ -54,7 +53,7 @@ def load_train_config(path: str | None, overrides: dict) -> TrainConfig:
             raise UsageError(f"config file is not valid JSON: {path}") from exc
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
-        types = config_field_types()
+        types = {f.name: type(f.default) for f in fields(TrainConfig)}
         for key, value in raw.items():
             if key not in types:
                 raise UsageError(f"unknown config key: {key}")
@@ -116,6 +115,15 @@ def cmd_build_sheaf(args) -> int:
     return EXIT_OK
 
 
+def _run_fields(history: dict) -> dict:
+    """What every train and bench record reports of a run: its timings and build diagnostics."""
+    return {
+        "sheaf_build_seconds": history["sheaf_build_seconds"],
+        "mean_epoch_seconds": history["mean_epoch_seconds"],
+        **history["diagnostics"],
+    }
+
+
 def _emit_epochs(history: dict) -> None:
     for values in zip(*(history[key] for key in EPOCH_KEYS)):
         _emit(dict(zip(EPOCH_KEYS, values)))
@@ -159,9 +167,7 @@ def cmd_train(args) -> int:
                 "best_epoch": history["best_epoch"],
                 "best_val_acc": history["best_val_acc"],
                 "test_acc_at_best": history["test_acc_at_best"],
-                "sheaf_build_seconds": history["sheaf_build_seconds"],
-                "mean_epoch_seconds": history["mean_epoch_seconds"],
-                **history["diagnostics"],
+                **_run_fields(history),
             }
         )
     if len(indices) > 1:
@@ -218,10 +224,8 @@ def cmd_bench(args) -> int:
             "edges": ds.graph.num_edges,
             "d": cfg.d,
             "epochs": int(secs.size),
-            "sheaf_build_seconds": history["sheaf_build_seconds"],
-            "mean_epoch_seconds": float(secs.mean()),
+            **_run_fields(history),
             "std_epoch_seconds": float(secs.std(ddof=1)),
-            **history["diagnostics"],
         }
     )
     return EXIT_OK

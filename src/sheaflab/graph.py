@@ -94,12 +94,6 @@ def one_hop_neighbourhood(g: Graph, i: int) -> np.ndarray:
     return g._adjacent[g._indptr[i]:g._indptr[i + 1]].copy()
 
 
-def degree(g: Graph, i: int) -> int:
-    if not 0 <= i < g.n:
-        raise ValueError(f"node index {i} out of range [0, {g.n})")
-    return int(g.degrees[i])
-
-
 def homophily(g: Graph, labels=None) -> float:
     """Fraction of edges whose endpoints carry the same class label."""
     if labels is None:

@@ -185,24 +185,12 @@ def dirichlet_energy(lap: BlockLaplacian, x: np.ndarray) -> float:
     return float(x @ apply(lap, x))
 
 
-def spectrum(lap: BlockLaplacian, max_dim: int = DENSE_EIG_LIMIT) -> np.ndarray:
-    """Ascending eigenvalues via a dense symmetric solve, size-guarded."""
-    if lap.dim > max_dim:
-        raise GuardError(
-            f"dense eigensolver guard: nd={lap.dim} exceeds limit {max_dim}"
-        )
+def spectrum(lap: BlockLaplacian) -> np.ndarray:
+    """Ascending eigenvalues via a dense symmetric solve, refused for nd > DENSE_EIG_LIMIT."""
+    if lap.dim > DENSE_EIG_LIMIT:
+        raise GuardError(f"dense eigensolver guard: nd={lap.dim} exceeds limit {DENSE_EIG_LIMIT}")
     dense = lap.to_dense()
     return np.linalg.eigvalsh(0.5 * (dense + dense.T))
-
-
-def euler_diffusion(lap: BlockLaplacian, x0: np.ndarray, steps: int) -> np.ndarray:
-    """`steps` unit-step explicit Euler applications of (I - L)."""
-    if steps < 0:
-        raise ValueError("step count must be >= 0")
-    x = np.array(x0, dtype=np.float64)
-    for _ in range(steps):
-        x = x - apply(lap, x)
-    return x
 
 
 def write_laplacian_coo(lap: BlockLaplacian, path) -> None:

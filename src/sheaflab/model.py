@@ -6,9 +6,10 @@ runs T diffusion layers
     X_{t+1} = X_t - act( L (I_n kron W1_t) X_t W2_t )
 
 against a precomputed (constant) sheaf Laplacian L, then reads class logits
-out of the flattened stalk state with a linear decoder. Because L never
-changes during training, backpropagation only has to traverse the weights;
-the layer adjoint reuses L itself through its symmetry.
+out of the flattened stalk state with a linear decoder. `forward`'s loop is
+the one implementation of that layer. Because L never changes during
+training, backpropagation only has to traverse the weights; the layer
+adjoint reuses L itself through its symmetry.
 
 `build_operator` builds any kind's fixed operator once. Every model keeps
 its weights in a flat list `arrays`, with `forward(features) -> (logits,
@@ -23,7 +24,7 @@ every epoch runs two.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,12 +69,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.d < 1 or self.f < 1 or self.layers < 1 or self.hidden < 1:
             raise ValueError("d, f, layers and hidden must all be >= 1")
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be >= 0")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
         if self.optimiser not in ("adam", "sgd"):
             raise ValueError(f"unknown optimiser {self.optimiser!r}")
         if self.activation not in ACTIVATIONS:
@@ -82,10 +83,6 @@ class TrainConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if not 0 <= self.seed < 1 << 128:  # the Haar sheaves' Philox key range, for every kind
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
-
-
-def config_field_types() -> dict[str, type]:
-    return {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 @dataclass
@@ -130,27 +127,6 @@ def encode(features: np.ndarray, w_in: np.ndarray, d: int) -> np.ndarray:
     return z.reshape(n * d, f)     # node blocks of d rows, channels as columns
 
 
-def sheaf_layer(
-    lap: BlockLaplacian,
-    x: np.ndarray,
-    w1: np.ndarray,
-    w2: np.ndarray,
-    activation: str = "relu",
-) -> np.ndarray:
-    """One diffusion step X - act( L (I kron W1) X W2 )."""
-    x_next, _, _ = _sheaf_layer_cached(lap, x, w1, w2, activation)
-    return x_next
-
-
-def _sheaf_layer_cached(lap, x, w1, w2, activation):
-    n, d = lap.n, lap.d
-    xb = x.reshape(n, d, -1)
-    lin = np.matmul(w1, xb)                       # (I kron W1) X, per-node blocks
-    pre = apply(lap, lin.reshape(x.shape) @ w2)   # one (nd, f) product
-    x_next = x - _act(pre, activation)
-    return x_next, lin, pre
-
-
 def forward(model: DiffusionModel, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Logits (n, C) plus the cache needed for backward()."""
     lap, ws = model.lap, model.arrays
@@ -163,7 +139,9 @@ def forward(model: DiffusionModel, features: np.ndarray) -> tuple[np.ndarray, Fo
     cache.xs.append(x)
     for t in range(model.steps):
         k = model.pair_index(t)
-        x, lin, pre = _sheaf_layer_cached(lap, x, ws[k], ws[k + 1], model.activation)
+        lin = np.matmul(ws[k], x.reshape(n, d, -1))       # (I kron W1) X, per-node blocks
+        pre = apply(lap, lin.reshape(x.shape) @ ws[k + 1])  # one (nd, f) product
+        x = x - _act(pre, model.activation)
         cache.lins.append(lin)
         cache.pres.append(pre)
         cache.xs.append(x)

@@ -5,7 +5,8 @@ orthonormal tangent-space basis, a (p, d) array, from a local PCA of its
 neighbours' centred feature vectors, where the neighbourhood is the 1-hop
 set padded with feature-space nearest non-neighbours whenever it is smaller
 than the stalk dimension; nodes whose neighbourhoods have one length share
-one batched SVD, and `Sheaf.bases` stacks the bases into one (n, p, d)
+one batched SVD and one sign fix (`_sign_canonical`, which also serves the
+per-node fallback), and `Sheaf.bases` stacks the bases into one (n, p, d)
 array. Second, each edge gets the orthogonal map that best aligns the two
 endpoint bases in Frobenius norm (the orthogonal Procrustes solution, the
 polar factor of the basis cross-Gram); all edges share one batched SVD.
@@ -65,11 +66,12 @@ class Sheaf:
 
 
 def _sign_canonical(cols: np.ndarray) -> np.ndarray:
-    """Flip column signs so the largest-|entry| coordinate (first on ties) is >= 0."""
-    if cols.size == 0:
-        return cols
-    idx = np.argmax(np.abs(cols), axis=0)
-    signs = np.sign(cols[idx, np.arange(cols.shape[1])])
+    """Flip column signs so the largest-|entry| coordinate (first on ties) is >= 0.
+
+    `cols` is one matrix or a stack of them; each column runs along axis -2.
+    """
+    idx = np.argmax(np.abs(cols), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(cols, idx, axis=-2))
     signs[signs == 0] = 1.0
     return cols * signs
 
@@ -137,10 +139,7 @@ def _pca_bases(features: np.ndarray, centres: np.ndarray, neighbours: np.ndarray
     scale = np.maximum(1.0, s[:, 0])
     tied = np.any(s[:, :-1] - s[:, 1:] <= (_TIE_TOL * scale)[:, None], axis=1)
     completed = np.count_nonzero(s > (_RANK_TOL * scale)[:, None], axis=1) < d
-    u = u[:, :, :d]
-    signs = np.sign(np.take_along_axis(u, np.argmax(np.abs(u), axis=1)[:, None, :], axis=1))
-    signs[signs == 0] = 1.0
-    bases = u * signs
+    bases = _sign_canonical(u[:, :, :d])
     for k in np.flatnonzero(tied | completed):
         bases[k], completed[k] = _pca_basis(features, centres[k], neighbours[k], d)
     return bases, completed
@@ -169,25 +168,6 @@ def neighbourhood_with_padding(g: Graph, features, i: int, d: int) -> np.ndarray
     order = np.lexsort((cand, dists))  # distance first, node id on ties
     pad = cand[order[: d - hop.size]]
     return np.concatenate([hop, pad])
-
-
-def local_pca(features, centre: int, neighbours, d: int) -> np.ndarray:
-    """Estimate the (p, d) tangent basis at `centre` from centred neighbour features.
-
-    Columns of the neighbour matrix are x_j - x_centre with identity
-    weighting; the basis is the top-d left singular vectors, sign-canonical.
-    If the centred matrix has rank below d the basis is completed
-    deterministically from standard basis vectors.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if d > features.shape[1]:
-        raise GuardError("stalk dimension exceeds feature dimension")
-    neighbours = np.asarray(neighbours, dtype=np.int64)
-    if neighbours.size == 0:
-        raise ValueError("empty neighbour list")
-    if neighbours.size < d:
-        raise ValueError(f"need at least d={d} neighbours, got {neighbours.size}")
-    return _pca_bases(features, np.array([centre]), neighbours[None, :], d)[0][0]
 
 
 def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,10 @@ independent of the vectorised package code it checks:
   of `BlockLaplacian.to_dense` and `write_laplacian_coo`;
 - `addat_apply`: `laplacian.apply` with one multi-dimensional `np.add.at`
   of whole (d, f) blocks per pass;
+- `euler_diffusion`: explicit unit-step Euler diffusion (I - L)^steps x0,
+  which as many identity-weight diffusion layers reproduce (criterion 09);
+- `sheaf_layer`: one diffusion layer X - act(L (I kron W1) X W2), the same
+  operations in the same order as `model.forward`'s loop;
 - `loop_write_sheaf_csv`: the per-edge version of `write_sheaf_csv`;
 - `loop_transports_from_bases` and `loop_node_sheaf_from_matrices`: one
   SVD or matrix product per edge;
@@ -31,7 +35,7 @@ import numpy as np
 
 from sheaflab.data import Dataset, generate_splits
 from sheaflab.graph import Graph, from_edge_list, one_hop_neighbourhood
-from sheaflab.laplacian import BlockLaplacian, _check_match
+from sheaflab.laplacian import BlockLaplacian, _check_match, apply
 from sheaflab.sheaf import (
     _RANK_TOL,
     _SINGULAR_TOL,
@@ -192,6 +196,26 @@ def addat_apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
         np.add.at(out, us, np.matmul(np.transpose(lap.off, (0, 2, 1)), xb[vs]))
     out = out.reshape(lap.dim, -1)
     return out[:, 0] if vec else out
+
+
+def euler_diffusion(lap: BlockLaplacian, x0: np.ndarray, steps: int) -> np.ndarray:
+    """`steps` unit-step explicit Euler applications of (I - L)."""
+    if steps < 0:
+        raise ValueError("step count must be >= 0")
+    x = np.array(x0, dtype=np.float64)
+    for _ in range(steps):
+        x = x - apply(lap, x)
+    return x
+
+
+_ACTIVATIONS = {"relu": lambda y: np.maximum(y, 0.0), "tanh": np.tanh, "identity": lambda y: y}
+
+
+def sheaf_layer(lap: BlockLaplacian, x: np.ndarray, w1, w2, activation: str) -> np.ndarray:
+    """One diffusion step X - act( L (I kron W1) X W2 ) of an (nd, f) state."""
+    lin = np.matmul(w1, x.reshape(lap.n, lap.d, -1))  # (I kron W1) X, per-node blocks
+    pre = apply(lap, lin.reshape(x.shape) @ w2)
+    return x - _ACTIVATIONS[activation](pre)
 
 
 def loop_write_sheaf_csv(s: Sheaf, path) -> None:

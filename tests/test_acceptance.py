@@ -25,13 +25,12 @@ from sheaflab.model import (
     encode,
     gcn_propagation_matrix,
     init_params,
-    sheaf_layer,
     train,
 )
 from sheaflab.sheaf import transports_from_bases
 from conftest import random_graph, random_orthonormal_basis
-from oracles import coboundary, graph_laplacian, laplacian_from_coboundary
-from test_model import max_rel_err, numeric_model_grads
+from oracles import coboundary, euler_diffusion, graph_laplacian, laplacian_from_coboundary
+from test_model import layer_states, max_rel_err, numeric_model_grads
 
 
 @contextmanager
@@ -204,11 +203,9 @@ def test_criterion_09_reduction_to_euler():
             s = build_sheaf_by_kind(g, ("connection", "rand-edge")[seed % 2], d, seed=seed)
             lap = sl.normalise(sl.sheaf_laplacian(s, g))
             x0 = rng.standard_normal((lap.dim, 3))
-            x = x0
             steps = 4
-            for _ in range(steps):
-                x = sheaf_layer(lap, x, np.eye(d), np.eye(3), "identity")
-            assert np.max(np.abs(x - sl.euler_diffusion(lap, x0, steps))) <= 1e-12
+            x = layer_states(lap, x0, [(np.eye(d), np.eye(3))] * steps, "identity")[-1]
+            assert np.max(np.abs(x - euler_diffusion(lap, x0, steps))) <= 1e-12
 
 
 def test_criterion_10_end_to_end_learning():

@@ -6,7 +6,7 @@ import pytest
 import sheaflab as sl
 from sheaflab.cli import main
 from sheaflab.data import save_dataset, synth_sbm
-from sheaflab.model import TrainConfig, train
+from sheaflab.model import EPOCH_KEYS, TrainConfig, train
 
 
 @pytest.fixture
@@ -217,6 +217,35 @@ def test_records_carry_build_diagnostics(dataset_dir, tmp_path, capsys, command,
     assert {k: records[-1][k] for k in expected} == expected
 
 
+def test_every_record_has_its_exact_keys(dataset_dir, tmp_path, capsys):
+    """The key set of every record each command prints; no timing value is checked."""
+    diagnostics = {"padded_nodes", "rank_completed_bases", "singular_alignments"}
+    run = {"sheaf_build_seconds", "mean_epoch_seconds"} | diagnostics
+    split_summary = {"summary", "split", "kind", "best_epoch", "best_val_acc", "test_acc_at_best"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 3, "patience": 0}))
+    data, config = ["--dataset", dataset_dir], ["--config", str(cfg)]
+    cases = [
+        (["build-sheaf", *data, "--out", str(tmp_path / "s.csv")],
+         [{"command", "kind", "d", "n", "edges", "build_seconds", "out"} | diagnostics]),
+        (["train", *data, *config],
+         [set(EPOCH_KEYS)] * 3 + [split_summary | run]),
+        (["train", *data, *config, "--kind", "gcn", "--split", "all"],
+         [split_summary | run] * 10 + [{"summary", "splits", "kind", "mean_test_acc",
+                                        "std_test_acc"}]),
+        (["spectrum", *data, "--out", str(tmp_path / "e.csv")],
+         [{"command", "kind", "d", "count", "min", "max", "out"}]),
+        (["bench", *data, *config],
+         [{"command", "kind", "n", "edges", "d", "epochs", "std_epoch_seconds"} | run]),
+        (["synth", "--out", str(tmp_path / "synth"), "--n", "30"],
+         [{"command", "n", "edges", "classes", "homophily", "out"}]),
+    ]
+    for argv, expected in cases:
+        code, records = run_cli(capsys, *argv)
+        assert code == 0
+        assert [set(r) for r in records] == expected, argv[0]
+
+
 class TestSpectrum:
     def test_trivial_path_graph(self, tmp_path, capsys):
         from sheaflab.data import Dataset, Split
@@ -393,6 +422,25 @@ class TestExitCodes:
             assert out.read_text() == "kept\n"
         else:
             assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("key", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_non_finite_rate_is_usage_error(
+        self, dataset_dir, tmp_path, capsys, monkeypatch, command, key, value
+    ):
+        import sheaflab.cli as cli
+
+        calls = []
+        for module in (cli, sl.model):
+            monkeypatch.setattr(module, "build_operator", lambda *a: calls.append(a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(value)}))  # Python's json reads NaN, Infinity
+        code = main([command, "--dataset", dataset_dir, "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+        assert out == "" and calls == []
 
     def test_bad_flag_is_usage_error(self, capsys):
         code = main(["train", "--no-such-flag", "x"])

@@ -73,15 +73,15 @@ class TestNeighbourhood:
 class TestDegree:
     def test_triangle(self):
         g = sl.from_edge_list(3, [(0, 1), (1, 2), (0, 2)], feats(3))
-        assert all(sl.degree(g, i) == 2 for i in range(3))
+        assert all(g.degrees[i] == 2 for i in range(3))
 
     def test_star_centre(self):
         g = sl.from_edge_list(4, [(0, 1), (0, 2), (0, 3)], feats(4))
-        assert sl.degree(g, 0) == 3
+        assert g.degrees[0] == 3
 
     def test_isolated(self):
         g = sl.from_edge_list(2, [], feats(2))
-        assert sl.degree(g, 0) == 0
+        assert g.degrees[0] == 0
 
 
 class TestHomophily:

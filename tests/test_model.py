@@ -20,11 +20,10 @@ from sheaflab.model import (
     forward,
     gcn_propagation_matrix,
     init_params,
-    sheaf_layer,
     train,
 )
 from conftest import random_graph
-from oracles import graph_laplacian
+from oracles import euler_diffusion, graph_laplacian, sheaf_layer
 
 
 def small_instance(seed, n=6, p=3, d=2, f=2, layers=2, activation="relu", kind="connection"):
@@ -39,6 +38,19 @@ def small_instance(seed, n=6, p=3, d=2, f=2, layers=2, activation="relu", kind="
     cfg = TrainConfig(d=d, f=f, layers=layers, activation=activation, seed=seed)
     arrays = init_params(cfg, p, 2, np.random.default_rng(seed + 1))
     return g, lap, DiffusionModel(lap, arrays, layers, activation), feats, g.labels
+
+
+def layer_states(lap, x0, pairs, activation):
+    """`forward`'s T + 1 states from the (nd, f) state x0, one (W1, W2) pair per layer.
+
+    The model gets the identity encoder and the features x0.reshape(n, d f),
+    so its first state is x0.
+    """
+    n, d = lap.n, lap.d
+    df = d * x0.shape[1]
+    arrays = [np.eye(df)] + [w for pair in pairs for w in pair] + [np.zeros((1, df))]
+    _, cache = forward(DiffusionModel(lap, arrays, len(pairs), activation), x0.reshape(n, df))
+    return cache.xs
 
 
 def numeric_model_grads(model, feats, labels, mask, h=1e-5):
@@ -98,18 +110,18 @@ class TestSheafLayer:
 
     @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
     def test_zero_w1_identity_layer(self, act):
-        out = sheaf_layer(self.lap, self.x, np.zeros((2, 2)), np.eye(2), act)
+        out = layer_states(self.lap, self.x, [(np.zeros((2, 2)), np.eye(2))], act)[1]
         assert_array_equal(out, self.x)
 
     def test_identity_weights_euler_step(self):
-        out = sheaf_layer(self.lap, self.x, np.eye(2), np.eye(2), "identity")
-        assert_allclose(out, sl.euler_diffusion(self.lap, self.x, 1), atol=1e-14)
+        out = layer_states(self.lap, self.x, [(np.eye(2), np.eye(2))], "identity")[1]
+        assert_allclose(out, euler_diffusion(self.lap, self.x, 1), atol=1e-14)
 
     def test_dense_kronecker_oracle(self):
         rng = np.random.default_rng(2)
         w1 = rng.standard_normal((2, 2))
         w2 = rng.standard_normal((2, 2))
-        got = sheaf_layer(self.lap, self.x, w1, w2, "tanh")
+        got = layer_states(self.lap, self.x, [(w1, w2)], "tanh")[1]
         kron = np.kron(np.eye(self.g.n), w1)
         expected = self.x - np.tanh(self.lap.to_dense() @ kron @ self.x @ w2)
         assert_allclose(got, expected, atol=1e-12)
@@ -415,13 +427,9 @@ def test_trivial_sheaf_d1_propagation_matches_normalised_graph_laplacian():
 
 def test_multi_step_identity_layers_match_euler():
     g, lap, model, feats, labels = small_instance(12, layers=3, activation="identity")
-    for w in model.arrays[1:-1]:  # every step's (W1, W2)
-        w[...] = np.eye(2)
     x0 = encode(feats, model.arrays[0], 2)
-    x = x0
-    for t in range(3):
-        x = sheaf_layer(lap, x, *model.arrays[1 + 2 * t:3 + 2 * t], "identity")
-    assert_allclose(x, sl.euler_diffusion(lap, x0, 3), atol=1e-12)
+    x = layer_states(lap, x0, [(np.eye(2), np.eye(2))] * 3, "identity")[-1]
+    assert_allclose(x, euler_diffusion(lap, x0, 3), atol=1e-12)
 
 
 class TestTrain:

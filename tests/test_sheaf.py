@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import sheaflab as sl
 from sheaflab.errors import DataError, GuardError
+from sheaflab.sheaf import _pca_bases
 from conftest import random_graph, random_orthonormal_basis
 from oracles import (
     loop_build_sheaf,
@@ -56,17 +57,23 @@ class TestNeighbourhoodWithPadding:
             sl.neighbourhood_with_padding(g, feats, 0, 3)
 
 
+def pca_basis(feats, centre, neighbours, d):
+    """`_pca_bases` on a group of one: the (p, d) basis at `centre`."""
+    feats = np.asarray(feats, dtype=np.float64)
+    return _pca_bases(feats, np.array([centre]), np.asarray(neighbours)[None, :], d)[0][0]
+
+
 class TestLocalPca:
     def test_rank_one_axis(self):
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        tb = sl.local_pca(feats, 0, [1, 2], 1)
+        tb = pca_basis(feats, 0, [1, 2], 1)
         assert_allclose(tb, [[1.0], [0.0]], atol=1e-14)
 
     def test_equal_singular_values_tie_rule(self):
         # dense SVD oracle: columns of [[1,0],[0,1]] both carry singular
         # value one, so the deterministic tie rule fixes the order
         feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        tb = sl.local_pca(feats, 0, [1, 2], 2)
+        tb = pca_basis(feats, 0, [1, 2], 2)
         u, s, _ = np.linalg.svd(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert_allclose(s, [1.0, 1.0], atol=1e-14)
         assert_allclose(np.abs(np.linalg.det(tb)), 1.0, atol=1e-12)
@@ -74,34 +81,26 @@ class TestLocalPca:
 
     def test_degenerate_neighbourhood_completed(self):
         feats = np.zeros((3, 2))
-        tb = sl.local_pca(feats, 0, [1, 2], 1)
+        tb = pca_basis(feats, 0, [1, 2], 1)
         assert_allclose(tb, [[1.0], [0.0]])
 
     def test_rank_deficit_partial_completion(self):
         feats = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        tb = sl.local_pca(feats, 0, [1, 2], 2)
+        tb = pca_basis(feats, 0, [1, 2], 2)
         assert_allclose(tb, np.eye(3)[:, :2], atol=1e-14)
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((10, 5))
-        tb = sl.local_pca(feats, 0, np.arange(1, 10), 3)
+        tb = pca_basis(feats, 0, np.arange(1, 10), 3)
         assert_allclose(tb.T @ tb, np.eye(3), atol=1e-10)
 
     def test_sign_canonical(self):
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((8, 4))
-        basis = sl.local_pca(feats, 0, np.arange(1, 8), 2)
+        basis = pca_basis(feats, 0, np.arange(1, 8), 2)
         idx = np.argmax(np.abs(basis), axis=0)
         assert np.all(basis[idx, np.arange(2)] >= 0)
-
-    def test_d_exceeds_feature_dim(self):
-        with pytest.raises(GuardError, match="exceeds"):
-            sl.local_pca(np.zeros((4, 2)), 0, [1, 2, 3], 3)
-
-    def test_empty_neighbours(self):
-        with pytest.raises(ValueError, match="empty"):
-            sl.local_pca(np.zeros((4, 2)), 0, [], 1)
 
 
 class TestAlign:
@@ -541,8 +540,8 @@ def test_pca_group_with_degenerate_nodes_matches_loop_oracle():
     assert np.array_equal(s.transports, old.transports)
     assert s.diagnostics == old.diagnostics
     assert s.diagnostics.rank_completed_bases >= 1
-    for i in (0, 5, 10):  # local_pca is the same routine on a group of one
-        basis = sl.local_pca(feats, i, sl.one_hop_neighbourhood(g, i), 2)
+    for i in (0, 5, 10):  # the same routine on a group of one
+        basis = pca_basis(feats, i, sl.one_hop_neighbourhood(g, i), 2)
         assert np.array_equal(basis, old.bases[i])
 
 
