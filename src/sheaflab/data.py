@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,10 @@ class Dataset:
 
 
 def _validate_split(split: Split, n: int) -> None:
-    parts = [split.train, split.val, split.test]
-    combined = np.concatenate(parts)
-    if np.unique(combined).size != combined.size:
+    combined = np.sort(np.concatenate([split.train, split.val, split.test]))
+    if (combined[1:] == combined[:-1]).any():
         raise DataError("split overlap")
-    if not np.array_equal(np.sort(combined), np.arange(n)):
+    if not np.array_equal(combined, np.arange(n)):
         raise DataError("split does not cover every node exactly once")
 
 
@@ -144,24 +144,25 @@ def save_dataset(ds: Dataset, directory) -> None:
     with open(os.path.join(directory, "nodes.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [f"f_{k}" for k in range(p)] + ["label"])
-        for i in range(g.n):
-            row = [i] + [repr(float(x)) for x in g.features[i]] + [int(g.labels[i])]
-            writer.writerow(row)
+        feats, labels = g.features.tolist(), g.labels.tolist()
+        writer.writerows([i, *feats[i], labels[i]] for i in range(g.n))
     with open(os.path.join(directory, "edges.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["u", "v"])
-        for u, v in g.edges:
-            writer.writerow([int(u), int(v)])
-    payload = [
-        {
-            "train": [int(i) for i in s.train],
-            "val": [int(i) for i in s.val],
-            "test": [int(i) for i in s.test],
-        }
-        for s in ds.splits
-    ]
+        writer.writerows(g.edges.tolist())
+    payload = [{k: np.asarray(v).tolist() for k, v in vars(s).items()} for s in ds.splits]
     with open(os.path.join(directory, "splits.json"), "w") as fh:
         json.dump(payload, fh)
+
+
+def _read_rows(fh, fname: str, dtype) -> np.ndarray:
+    """The rows after the header as one structured array: plain numerals, no CSV quoting."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:  # numpy's "; use `usecols`" advice does not apply: cut it
+            raise DataError(f"malformed {fname} row: {str(exc).split('; use')[0]}") from exc
 
 
 def load_dataset(directory) -> Dataset:
@@ -170,58 +171,33 @@ def load_dataset(directory) -> Dataset:
         if not os.path.exists(os.path.join(directory, fname)):
             raise DataError(f"missing file: {fname}")
 
-    with open(os.path.join(directory, "nodes.csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open(os.path.join(directory, "nodes.csv")) as fh:
+        header = fh.readline().rstrip("\n").split(",")
         if (
-            header is None
-            or len(header) < 3
+            len(header) < 3
             or header[0] != "id"
             or header[-1] != "label"
             or header[1:-1] != [f"f_{k}" for k in range(len(header) - 2)]
         ):
             raise DataError("malformed nodes.csv header")
         p = len(header) - 2
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != p + 2:
-                raise DataError(f"malformed nodes.csv row: {row!r}")
-            try:
-                rows.append(
-                    (int(row[0]), [float(x) for x in row[1:-1]], int(row[-1]))
-                )
-            except ValueError as exc:
-                raise DataError(f"malformed nodes.csv row: {row!r}") from exc
-    if not rows:
+        rows = _read_rows(fh, "nodes.csv", [("id", "i8"), ("f", "f8", (p,)), ("label", "i8")])
+    if not rows.size:
         raise DataError("nodes.csv has no rows")
-    rows.sort(key=lambda r: r[0])
-    ids = [r[0] for r in rows]
-    n = len(rows)
-    if ids != list(range(n)):
+    n = rows.size
+    order = np.argsort(rows["id"], kind="stable")
+    if not np.array_equal(rows["id"][order], np.arange(n)):
         raise DataError("node ids must be contiguous 0..n-1")
-    features = np.array([r[1] for r in rows], dtype=np.float64)
+    features = rows["f"][order]
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise DataError(f"non-finite feature in nodes.csv at node {int(np.argmin(finite))}")
-    labels = np.array([r[2] for r in rows], dtype=np.int64)
+    labels = rows["label"][order]
 
-    with open(os.path.join(directory, "edges.csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["u", "v"]:
+    with open(os.path.join(directory, "edges.csv")) as fh:
+        if fh.readline().rstrip("\n") != "u,v":
             raise DataError("malformed edges.csv header")
-        raw_edges = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"malformed edges.csv row: {row!r}")
-            try:
-                raw_edges.append((int(row[0]), int(row[1])))
-            except ValueError as exc:
-                raise DataError(f"malformed edges.csv row: {row!r}") from exc
+        raw_edges = _read_rows(fh, "edges.csv", [("uv", "i8", (2,))])["uv"]
 
     with open(os.path.join(directory, "splits.json")) as fh:
         try:
@@ -233,12 +209,8 @@ def load_dataset(directory) -> Dataset:
     splits = []
     for item in payload:
         try:
-            split = Split(
-                train=np.asarray(item["train"], dtype=np.int64),
-                val=np.asarray(item["val"], dtype=np.int64),
-                test=np.asarray(item["test"], dtype=np.int64),
-            )
-        except (KeyError, TypeError) as exc:
+            split = Split(*(np.asarray(item[k], dtype=np.int64) for k in ("train", "val", "test")))
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError("malformed splits.json entry") from exc
         _validate_split(split, n)
         splits.append(split)

@@ -29,9 +29,9 @@ class Graph:
     def __post_init__(self):
         # adjacency in CSR form: the ascending neighbours of node i are
         # _adjacent[_indptr[i]:_indptr[i + 1]]; degrees[i] is their count
-        heads = np.concatenate([self.edges[:, 0], self.edges[:, 1]]).astype(np.int64)
-        tails = np.concatenate([self.edges[:, 1], self.edges[:, 0]]).astype(np.int64)
-        self._adjacent = tails[np.lexsort((tails, heads))]
+        us, vs = self.edges.astype(np.int64).T
+        key = np.sort(np.concatenate([us * self.n + vs, vs * self.n + us]))  # head * n + tail
+        heads, self._adjacent = np.divmod(key, self.n)
         self.degrees = np.bincount(heads, minlength=self.n)
         self._indptr = np.concatenate([[0], np.cumsum(self.degrees)])
         self.degrees.setflags(write=False)
@@ -59,20 +59,16 @@ def from_edge_list(n: int, raw_edges, features, labels=None) -> Graph:
         raise ValueError(
             f"feature row count mismatch: expected {n} rows, got shape {features.shape}"
         )
-    raw = np.asarray(list(raw_edges), dtype=np.int64)
-    if raw.size == 0:
-        edges = np.zeros((0, 2), dtype=np.int64)
-    else:
-        if raw.ndim != 2 or raw.shape[1] != 2:
-            raise ValueError("raw_edges must be a sequence of (u, v) pairs")
-        if raw.min() < 0 or raw.max() >= n:
-            raise ValueError("edge endpoint out of range")
-        lo = raw.min(axis=1)
-        hi = raw.max(axis=1)
-        keep = lo != hi  # self-loops dropped
-        edges = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-        if edges.size == 0:
-            edges = np.zeros((0, 2), dtype=np.int64)
+    raw = np.asarray(raw_edges if isinstance(raw_edges, np.ndarray) else list(raw_edges), np.int64)
+    if raw.size and (raw.ndim != 2 or raw.shape[1] != 2):
+        raise ValueError("raw_edges must be a sequence of (u, v) pairs")
+    raw = raw.reshape(-1, 2)
+    if raw.size and (raw.min() < 0 or raw.max() >= n):
+        raise ValueError("edge endpoint out of range")
+    # the key lo * n + hi orders edges lexicographically; self-loops dropped, repeats collapsed
+    lo, hi = raw.min(axis=1), raw.max(axis=1)
+    key = np.sort((lo * n + hi)[lo != hi])
+    edges = np.stack(np.divmod(key[np.diff(key, prepend=-1) != 0], n), axis=1)
     if labels is not None:
         labels = np.asarray(labels)
         if not np.issubdtype(labels.dtype, np.integer):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import GuardError
 from .graph import Graph
-from .sheaf import _CSV_CHUNK, Sheaf
+from .sheaf import _CSV_CHUNK, Sheaf, _labels, _reprs, _write_lines
 
 DENSE_EIG_LIMIT = 5000  # nd beyond this refuses the dense eigensolver
 _MIN_SLOT = 256  # slots with fewer contributions join the np.add.at tail
@@ -195,26 +195,27 @@ def spectrum(lap: BlockLaplacian) -> np.ndarray:
 
 def write_laplacian_coo(lap: BlockLaplacian, path) -> None:
     """Sorted 'i j value' triplets of the nonzero entries, with a size header."""
-    # rebinding one array at a time frees each full-length input as its copy lands
+    # line k prints key[k] = i * nd + j, then text[src[k]]: each stored value is formatted
+    # once, a mirrored entry reusing its block's text. Full-length arrays go once used.
     rows, cols, vals = _entries(lap)
-    nz = vals != 0.0
-    rows = rows[nz]
-    cols = cols[nz]
-    vals = vals[nz]
-    del nz
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    vals = vals[order]
+    src = np.flatnonzero(vals != 0.0)
+    del vals
+    key = rows[src] * lap.dim
+    del rows
+    key += cols[src]
+    del cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    src = src[order]
     del order
+    src[src >= lap.diag.size + lap.off.size] -= lap.off.size
+    text = _reprs(np.concatenate([lap.diag.ravel(), lap.off.ravel()]), _CSV_CHUNK)
+    labels = _labels(lap.dim)
     flag = "true" if lap.normalised else "false"
-    with open(path, "w") as fh:
-        fh.write(f"nd={lap.dim} d={lap.d} normalised={flag}\n")
-        for lo in range(0, vals.size, _CSV_CHUNK):
-            hi = lo + _CSV_CHUNK
-            fh.writelines(
-                f"{i} {j} {val!r}\n"
-                for i, j, val in zip(
-                    rows[lo:hi].tolist(), cols[lo:hi].tolist(), vals[lo:hi].tolist()
-                )
-            )
+    with open(path, "wb") as fh:
+        fh.write(f"nd={lap.dim} d={lap.d} normalised={flag}\n".encode())
+        _write_lines(
+            fh, key.size,
+            lambda lo, hi: [labels[np.stack(np.divmod(key[lo:hi], lap.dim), 1)], text[src[lo:hi]]],
+            b" ", _CSV_CHUNK,
+        )

@@ -33,7 +33,7 @@ _RANK_TOL = 1e-10      # relative cutoff below which a singular value is zero
 _GS_TOL = 1e-8         # Gram-Schmidt residual below this is near-dependent
 _SINGULAR_TOL = 1e-10  # cross-Gram smallest singular value: alignment flagged
 _ORTHO_TOL = 1e-10     # max |O^T O - I| a transport read from CSV may have
-_CSV_CHUNK = 4096      # rows per .tolist() in the text writers; bounds their Python objects
+_CSV_CHUNK = 4096      # values per step of the text writers; bounds their buffers
 
 
 @dataclass(frozen=True)
@@ -350,17 +350,48 @@ def random_node_sheaf(g: Graph, d: int, seed: int) -> Sheaf:
     return node_sheaf_from_matrices(g, _haar_stack(d, seed, g.n))
 
 
+def _labels(count: int) -> np.ndarray:
+    """The decimal text of 0 .. count-1 as a fixed-width bytes array."""
+    return np.arange(count).astype(f"S{len(str(count))}")
+
+
+def _reprs(values: np.ndarray, chunk: int) -> np.ndarray:
+    """Flat S24 array of each float64's repr (24 bytes fit every one), filled chunk by chunk."""
+    flat = values.ravel()
+    out = np.empty(flat.size, dtype="S24")
+    for lo in range(0, flat.size, chunk):
+        out[lo:lo + chunk] = list(map(repr, flat[lo:lo + chunk].tolist()))
+    return out
+
+
+def _write_lines(fh, count: int, cells, sep: bytes, chunk: int) -> None:
+    """Write `count` lines to the binary file fh, at most `chunk` per step.
+
+    cells(lo, hi) returns the fields of lines lo .. hi-1 as fixed-width bytes
+    arrays whose first axis runs over those lines. One uint8 matrix joins
+    them with `sep`; one mask drops their NUL padding.
+    """
+    for lo in range(0, count, chunk):
+        k = min(chunk, count - lo)
+        parts = []
+        for a in cells(lo, lo + k):
+            a = a.view(np.uint8).reshape(k, -1, a.itemsize)
+            parts.append(np.dstack([a, np.full(a.shape[:2], ord(sep), np.uint8)]).reshape(k, -1))
+        text = np.hstack(parts)
+        text[:, -1] = ord("\n")
+        fh.write(text[text != 0])
+
+
 def write_sheaf_csv(s: Sheaf, path) -> None:
     """One record per edge: u, v, then d*d row-major transport entries."""
-    rows = s.transports.reshape(s.num_edges, s.d * s.d)
-    with open(path, "w") as fh:
-        fh.write(f"n={s.n},d={s.d},kind={s.kind}\n")
-        for lo in range(0, s.num_edges, _CSV_CHUNK):
-            hi = lo + _CSV_CHUNK
-            fh.writelines(
-                f"{u},{v},{','.join(map(repr, row))}\n"
-                for (u, v), row in zip(s.edges[lo:hi].tolist(), rows[lo:hi].tolist())
-            )
+    labels = _labels(s.n)
+    with open(path, "wb") as fh:
+        fh.write(f"n={s.n},d={s.d},kind={s.kind}\n".encode())
+        _write_lines(
+            fh, s.num_edges,
+            lambda lo, hi: [labels[s.edges[lo:hi]], _reprs(s.transports[lo:hi], _CSV_CHUNK)],
+            b",", max(1, _CSV_CHUNK // (s.d * s.d)),
+        )
 
 
 def read_sheaf_csv(path) -> Sheaf:

@@ -2,6 +2,14 @@ import numpy as np
 
 import sheaflab as sl
 
+# floats whose reprs the text writers must reproduce: the signed zero, the smallest
+# subnormal, the longest repr (24 characters), the largest finite, and both sides of
+# repr's switches between fixed and exponent notation
+REPR_EDGE_VALUES = [
+    -0.0, 5e-324, -2.2250738585072014e-308, -1.7976931348623157e+308,
+    1e16, 9999999999999998.0, 1e-05, 0.0001,
+]
+
 
 def random_graph(rng, n=None, p_feat=4, edge_prob=0.3, with_labels=False):
     """Erdos-Renyi-style test graph with Gaussian features."""

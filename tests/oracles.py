@@ -24,16 +24,23 @@ independent of the vectorised package code it checks:
   `np.random.Philox` stream for the item (`philox_item_words`), Box-Muller
   on that item alone (`philox_item_normals`) and one QR;
 - `all_pairs_synth_sbm`: the SBM sampler that draws all n(n-1)/2
-  candidate pairs at once.
+  candidate pairs at once;
+- `loop_validate_split` and `loop_load_dataset`: the dataset reader with
+  the csv module, one `int()` or `float()` per field, and a split check
+  through `np.unique`.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from sheaflab.data import Dataset, generate_splits
+from sheaflab.data import Dataset, Split, generate_splits
+from sheaflab.errors import DataError
 from sheaflab.graph import Graph, from_edge_list, one_hop_neighbourhood
 from sheaflab.laplacian import BlockLaplacian, _check_match, apply
 from sheaflab.sheaf import (
@@ -371,3 +378,98 @@ def all_pairs_synth_sbm(
     if name is None:
         name = f"sbm-n{n}-c{n_classes}-pi{p_in}-po{p_out}-s{seed}"
     return Dataset(graph=graph, splits=splits, name=name)
+
+
+def loop_validate_split(split: Split, n: int) -> None:
+    parts = [split.train, split.val, split.test]
+    combined = np.concatenate(parts)
+    if np.unique(combined).size != combined.size:
+        raise DataError("split overlap")
+    if not np.array_equal(np.sort(combined), np.arange(n)):
+        raise DataError("split does not cover every node exactly once")
+
+
+def loop_load_dataset(directory) -> Dataset:
+    """`load_dataset` with the csv module: one int()/float() call per field."""
+    for fname in ("nodes.csv", "edges.csv", "splits.json"):
+        if not os.path.exists(os.path.join(directory, fname)):
+            raise DataError(f"missing file: {fname}")
+
+    with open(os.path.join(directory, "nodes.csv"), newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if (
+            header is None
+            or len(header) < 3
+            or header[0] != "id"
+            or header[-1] != "label"
+            or header[1:-1] != [f"f_{k}" for k in range(len(header) - 2)]
+        ):
+            raise DataError("malformed nodes.csv header")
+        p = len(header) - 2
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != p + 2:
+                raise DataError(f"malformed nodes.csv row: {row!r}")
+            try:
+                rows.append(
+                    (int(row[0]), [float(x) for x in row[1:-1]], int(row[-1]))
+                )
+            except ValueError as exc:
+                raise DataError(f"malformed nodes.csv row: {row!r}") from exc
+    if not rows:
+        raise DataError("nodes.csv has no rows")
+    rows.sort(key=lambda r: r[0])
+    ids = [r[0] for r in rows]
+    n = len(rows)
+    if ids != list(range(n)):
+        raise DataError("node ids must be contiguous 0..n-1")
+    features = np.array([r[1] for r in rows], dtype=np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite feature in nodes.csv at node {int(np.argmin(finite))}")
+    labels = np.array([r[2] for r in rows], dtype=np.int64)
+
+    with open(os.path.join(directory, "edges.csv"), newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["u", "v"]:
+            raise DataError("malformed edges.csv header")
+        raw_edges = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataError(f"malformed edges.csv row: {row!r}")
+            try:
+                raw_edges.append((int(row[0]), int(row[1])))
+            except ValueError as exc:
+                raise DataError(f"malformed edges.csv row: {row!r}") from exc
+
+    with open(os.path.join(directory, "splits.json")) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError("malformed splits.json") from exc
+    if not isinstance(payload, list) or not payload:
+        raise DataError("splits.json must be a non-empty array")
+    splits = []
+    for item in payload:
+        try:
+            split = Split(
+                train=np.asarray(item["train"], dtype=np.int64),
+                val=np.asarray(item["val"], dtype=np.int64),
+                test=np.asarray(item["test"], dtype=np.int64),
+            )
+        except (KeyError, TypeError) as exc:
+            raise DataError("malformed splits.json entry") from exc
+        loop_validate_split(split, n)
+        splits.append(split)
+
+    try:
+        graph = from_edge_list(n, raw_edges, features, labels)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+    return Dataset(graph=graph, splits=splits, name=os.path.basename(os.path.normpath(directory)))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +48,7 @@ class TestBuildSheaf:
                 "--kind", "connection", "--out", out,
             )
             assert code == 0
-        assert open(out1).read() == open(out2).read()
+        assert Path(out1).read_text() == Path(out2).read_text()
 
     def test_d_exceeds_feature_dim_guard(self, dataset_dir, tmp_path, capsys):
         code = main(
@@ -265,7 +269,7 @@ class TestSpectrum:
             "--kind", "trivial", "--out", out,
         )
         assert code == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "eigenvalue"
         vals = [float(x) for x in lines[1:]]
         assert vals == sorted(vals)
@@ -280,7 +284,7 @@ class TestSpectrum:
                 "--kind", kind, "--out", out,
             )
             assert code == 0
-            vals = [float(x) for x in open(out).read().strip().splitlines()[1:]]
+            vals = [float(x) for x in Path(out).read_text().strip().splitlines()[1:]]
             assert min(vals) >= -1e-9
             assert max(vals) <= 2 + 1e-9
 
@@ -322,6 +326,26 @@ class TestExitCodes:
              "--kind", "trivial", "--out", str(tmp_path / "s.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("fname, edit", [
+        ("nodes.csv", lambda text: text.splitlines()[0] + "\n"),
+        ("edges.csv", lambda text: text + "0,1,2\n"),
+    ], ids=["empty-nodes-body", "ragged-edges-row"])
+    def test_malformed_dataset_exits_2_without_warnings(self, dataset_dir, tmp_path, fname, edit):
+        # a fresh interpreter, so a warning would reach stderr instead of pytest's recorder
+        path = Path(dataset_dir) / fname
+        path.write_text(edit(path.read_text()))
+        package_root = str(Path(sl.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "sheaflab.cli",
+             "build-sheaf", "--dataset", dataset_dir, "--out", str(tmp_path / "s.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
+        assert "Warning" not in proc.stderr and proc.stdout == ""
 
     def test_non_finite_feature_is_data_error(self, dataset_dir, tmp_path, capsys):
         nodes = tmp_path / "sbm" / "nodes.csv"

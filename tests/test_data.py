@@ -11,7 +11,7 @@ import sheaflab as sl
 import sheaflab.data
 from sheaflab.data import Split, generate_splits, load_dataset, save_dataset, synth_sbm
 from sheaflab.errors import DataError
-from oracles import all_pairs_synth_sbm
+from oracles import all_pairs_synth_sbm, loop_load_dataset
 
 
 def toy_dataset():
@@ -65,6 +65,14 @@ class TestLoadSave:
         payload = [{"train": [0], "val": [1], "test": []}]
         (tmp_path / "bad" / "splits.json").write_text(json.dumps(payload))
         with pytest.raises(DataError, match="cover"):
+            load_dataset(tmp_path / "bad")
+
+    def test_non_integer_split_entry(self, tmp_path):
+        ds = toy_dataset()
+        save_dataset(ds, tmp_path / "bad")
+        payload = [{"train": ["zero"], "val": [1], "test": [2]}]
+        (tmp_path / "bad" / "splits.json").write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed splits.json entry"):
             load_dataset(tmp_path / "bad")
 
     def test_non_contiguous_ids(self, tmp_path):
@@ -228,3 +236,127 @@ def test_sbm_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def assert_same_dataset(a, b):
+    assert a.name == b.name and a.graph.n == b.graph.n
+    for attr in ("edges", "features", "labels", "degrees", "_adjacent", "_indptr"):
+        x, y = getattr(a.graph, attr), getattr(b.graph, attr)
+        assert x.dtype == y.dtype
+        assert_array_equal(x, y)
+    assert len(a.splits) == len(b.splits)
+    for sa, sb in zip(a.splits, b.splits):
+        for part in ("train", "val", "test"):
+            x, y = getattr(sa, part), getattr(sb, part)
+            assert x.dtype == y.dtype
+            assert_array_equal(x, y)
+
+
+def edit_csv(path, edit, end="\r\n"):
+    """Rewrite a saved CSV file: edit(lines) gives the new lines, each ended by `end`."""
+    lines = path.read_text().splitlines()
+    path.write_bytes("".join(line + end for line in edit(lines)).encode())
+
+
+def shuffled_body(lines, seed=0):
+    body = lines[1:]
+    np.random.default_rng(seed).shuffle(body)
+    return lines[:1] + body
+
+
+def messy_edges(lines):
+    """Each edge again reversed, the first few repeated, a self-loop per node in 0..2."""
+    body = lines[1:]
+    reversed_rows = [",".join(row.split(",")[::-1]) for row in body]
+    loops = [f"{i},{i}" for i in range(3)]
+    return shuffled_body(lines[:1] + body + reversed_rows + body[:4] + loops, seed=1)
+
+
+# each case rewrites (nodes.csv, edges.csv) of a saved dataset; None keeps a file
+LOADER_CASES = {
+    "as-saved": (None, None),
+    "lf-endings": (lambda ls: ls, lambda ls: ls),
+    "shuffled-node-rows": (shuffled_body, None),
+    "blank-lines": (
+        lambda ls: [x for line in ls for x in (line, "")],
+        lambda ls: ls[:1] + ["", ""] + [x for line in ls[1:] for x in (line, "")],
+    ),
+    "empty-edges-body": (None, lambda ls: ls[:1]),
+    "messy-edges": (None, messy_edges),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_CASES))
+@pytest.mark.parametrize("n, seed", [(12, 0), (60, 1), (150, 2)])
+def test_loader_matches_loop_oracle(tmp_path, case, n, seed):
+    save_dataset(synth_sbm(n, 3, 0.3, 0.05, 4, 2.0, seed=seed), tmp_path / "sbm")
+    for fname, edit in zip(("nodes.csv", "edges.csv"), LOADER_CASES[case]):
+        if edit is not None:
+            edit_csv(tmp_path / "sbm" / fname, edit, end="\n" if case == "lf-endings" else "\r\n")
+    loaded = load_dataset(tmp_path / "sbm")
+    assert_same_dataset(loaded, loop_load_dataset(tmp_path / "sbm"))
+    if case != "empty-edges-body":
+        assert loaded.graph.num_edges > 0
+
+
+def set_field(row, k, value):
+    fields = row.split(",")
+    fields[k] = value
+    return ",".join(fields)
+
+
+# (file, edit of its lines, message both loaders raise); row 1 is node 0, row 2 node 1
+MALFORMED = {
+    "ragged-node-row": ("nodes.csv", lambda ls: [*ls[:2], ls[2].rsplit(",", 1)[0], *ls[3:]],
+                        "malformed nodes.csv row"),
+    "ragged-edge-row": ("edges.csv", lambda ls: ls + ["0,1,2"], "malformed edges.csv row"),
+    "unparsable-float": ("nodes.csv", lambda ls: [*ls[:2], set_field(ls[2], 1, "1.5x"), *ls[3:]],
+                         "malformed nodes.csv row"),
+    "float-id": ("nodes.csv", lambda ls: [*ls[:2], set_field(ls[2], 0, "1.0"), *ls[3:]],
+                 "malformed nodes.csv row"),
+    "float-label": ("nodes.csv", lambda ls: [*ls[:2], set_field(ls[2], -1, "1.0"), *ls[3:]],
+                    "malformed nodes.csv row"),
+    "float-endpoint": ("edges.csv", lambda ls: ls + ["0,1.0"], "malformed edges.csv row"),
+    "whitespace-line": ("nodes.csv", lambda ls: ls + ["   "], "malformed nodes.csv row"),
+    "comment-line": ("edges.csv", lambda ls: ls + ["# 0,1"], "malformed edges.csv row"),
+    "duplicate-id": ("nodes.csv", lambda ls: [*ls[:2], set_field(ls[2], 0, "0"), *ls[3:]],
+                     "contiguous"),
+    "out-of-range-endpoint": ("edges.csv", lambda ls: ls + ["0,12"], "edge endpoint out of range"),
+    "negative-endpoint": ("edges.csv", lambda ls: ls + ["-1,0"], "edge endpoint out of range"),
+    "empty-nodes-body": ("nodes.csv", lambda ls: ls[:1], "nodes.csv has no rows"),
+    "blank-nodes-body": ("nodes.csv", lambda ls: ls[:1] + ["", ""], "nodes.csv has no rows"),
+    "negative-label": ("nodes.csv", lambda ls: [*ls[:2], set_field(ls[2], -1, "-1"), *ls[3:]],
+                       "label out of class range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_rejected_by_both_loaders(tmp_path, case):
+    fname, edit, message = MALFORMED[case]
+    save_dataset(synth_sbm(12, 3, 0.3, 0.05, 4, 2.0, seed=0), tmp_path / "bad")
+    edit_csv(tmp_path / "bad" / fname, edit)
+    for loader in (load_dataset, loop_load_dataset):
+        with pytest.raises(DataError, match=message):
+            loader(tmp_path / "bad")
+
+
+def test_quoted_fields_are_rejected(tmp_path):
+    # the csv module strips the quotes; the loader reads plain numerals only
+    save_dataset(synth_sbm(12, 3, 0.3, 0.05, 4, 2.0, seed=0), tmp_path / "q")
+    plain = load_dataset(tmp_path / "q")
+    edit_csv(tmp_path / "q" / "nodes.csv",
+             lambda ls: ls[:1] + [",".join(f'"{x}"' for x in line.split(",")) for line in ls[1:]])
+    assert_same_dataset(loop_load_dataset(tmp_path / "q"), plain)
+    with pytest.raises(DataError, match="malformed nodes.csv row"):
+        load_dataset(tmp_path / "q")
+
+
+def test_digit_separators_are_rejected(tmp_path):
+    # Python's int() reads "1_0" as 10; the loader reads plain numerals only
+    save_dataset(synth_sbm(12, 3, 0.3, 0.05, 4, 2.0, seed=0), tmp_path / "u")
+    plain = load_dataset(tmp_path / "u")
+    edit_csv(tmp_path / "u" / "nodes.csv",
+             lambda ls: [*ls[:11], set_field(ls[11], 0, "1_0"), *ls[12:]])
+    assert_same_dataset(loop_load_dataset(tmp_path / "u"), plain)
+    with pytest.raises(DataError, match="malformed nodes.csv row"):
+        load_dataset(tmp_path / "u")

@@ -42,6 +42,39 @@ class TestFromEdgeList:
         g = sl.from_edge_list(2, [], feats(2))
         assert g.num_edges == 0
 
+    @pytest.mark.parametrize("raw", [[(1, 1)], np.zeros((0, 2), dtype=np.int64)])
+    def test_no_edge_left(self, raw):
+        g = sl.from_edge_list(2, raw, feats(2))
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+        assert_array_equal(g.degrees, [0, 0])
+
+    def test_edge_pairs_shape_checked(self):
+        with pytest.raises(ValueError, match="pairs"):
+            sl.from_edge_list(3, [(0, 1, 2)], feats(3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_unique_and_lexsort_references(self, seed):
+        # messy input: both orientations, repeats and self-loops, in random order
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        raw = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        raw = np.concatenate([raw, raw[: raw.shape[0] // 3, ::-1], raw[:5]])
+        rng.shuffle(raw)
+        lo, hi = raw.min(axis=1), raw.max(axis=1)
+        pairs = np.stack([lo[lo != hi], hi[lo != hi]], axis=1).reshape(-1, 2)
+        expected = np.unique(pairs, axis=0)
+        heads = np.concatenate([expected[:, 0], expected[:, 1]])
+        tails = np.concatenate([expected[:, 1], expected[:, 0]])
+        for g in (
+            sl.from_edge_list(n, raw, feats(n)),
+            sl.from_edge_list(n, [tuple(e) for e in raw.tolist()], feats(n)),
+        ):
+            assert g.edges.dtype == np.int64
+            assert_array_equal(g.edges, expected.reshape(-1, 2))
+            assert_array_equal(g._adjacent, tails[np.lexsort((tails, heads))])
+            assert_array_equal(g.degrees, np.bincount(heads, minlength=n))
+            assert_array_equal(g._indptr, np.concatenate([[0], np.cumsum(g.degrees)]))
+
 
 class TestNeighbourhood:
     def test_path_middle(self):

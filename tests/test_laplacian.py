@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import sheaflab as sl
 from sheaflab.errors import GuardError
 from sheaflab.model import build_sheaf_by_kind, gcn_propagation_matrix
-from conftest import random_graph
+from conftest import REPR_EDGE_VALUES, random_graph
 from oracles import (
     addat_apply,
     coboundary,
@@ -350,6 +350,24 @@ def test_write_laplacian_coo_chunked_matches_loop_oracle(tmp_path, monkeypatch, 
         sl.write_laplacian_coo(lap, new)
         loop_write_laplacian_coo(lap, old)
         assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("normalised", [False, True])
+def test_write_laplacian_coo_edge_values_match_loop_oracle(
+    tmp_path, monkeypatch, chunk, normalised
+):
+    values = REPR_EDGE_VALUES  # its -0.0 counts as a zero: no line
+    if chunk is not None:
+        monkeypatch.setattr(sl.laplacian, "_CSV_CHUNK", chunk)
+    diag = np.array(values + [1.0, 0.0, -0.5, 2.0]).reshape(3, 2, 2)
+    off = np.array(values[::-1]).reshape(2, 2, 2)
+    lap = sl.BlockLaplacian(3, 2, np.array([[0, 1], [1, 2]]), diag, off, normalised=normalised)
+    new, old = tmp_path / "new.coo", tmp_path / "old.coo"
+    sl.write_laplacian_coo(lap, new)
+    loop_write_laplacian_coo(lap, old)
+    assert new.read_bytes() == old.read_bytes()
+    assert all(repr(v).encode() in new.read_bytes() for v in values[1:])
 
 
 def width_one_bound(op, x):

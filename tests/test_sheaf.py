@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import sheaflab as sl
 from sheaflab.errors import DataError, GuardError
 from sheaflab.sheaf import _pca_bases
-from conftest import random_graph, random_orthonormal_basis
+from conftest import REPR_EDGE_VALUES, random_graph, random_orthonormal_basis
 from oracles import (
     loop_build_sheaf,
     loop_write_sheaf_csv,
@@ -398,6 +399,38 @@ def test_write_sheaf_csv_matches_loop_oracle(tmp_path, monkeypatch, kind, d, chu
         sl.write_sheaf_csv(s, new)
         loop_write_sheaf_csv(s, old)
         assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_write_sheaf_csv_edge_values_match_loop_oracle(tmp_path, monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(sl.sheaf, "_CSV_CHUNK", chunk)
+    edges = np.array([[0, 1], [1, 12], [3, 12]])
+    values_2, values_1 = REPR_EDGE_VALUES + REPR_EDGE_VALUES[2:6], REPR_EDGE_VALUES[5:]
+    for d, values in ((2, values_2), (1, values_1)):
+        s = sl.Sheaf(d=d, n=13, kind="connection", edges=edges,
+                     transports=np.array(values).reshape(3, d, d))
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        sl.write_sheaf_csv(s, new)
+        loop_write_sheaf_csv(s, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert all(repr(v).encode() in new.read_bytes() for v in values)
+
+
+def test_write_sheaf_csv_memory_peak(tmp_path):
+    # the benchmark's n = 4000, d = 2 connection sheaf; one chunk's buffers are
+    # small next to its edge and transport arrays
+    g = sl.synth_sbm(4000, 2, 14.4 / 4000, 3.6 / 4000, 4, 2.0, seed=1).graph
+    s = sl.build_connection_sheaf(g, 2)
+    sheaf_bytes = s.edges.nbytes + s.transports.nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sl.write_sheaf_csv(s, tmp_path / "sheaf.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sheaf_bytes
 
 
 def oracle_gate_graphs():
