@@ -2,7 +2,7 @@
 
 from .data import Dataset, Split, generate_splits, load_dataset, save_dataset, synth_sbm
 from .errors import DataError, GuardError
-from .graph import Graph, from_edge_list, homophily, one_hop_neighbourhood
+from .graph import Graph, from_edge_list, homophily
 from .laplacian import (
     BlockLaplacian,
     apply,

@@ -8,6 +8,7 @@ On-disk layout of a dataset directory:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -138,18 +139,16 @@ def synth_sbm(
 
 
 def save_dataset(ds: Dataset, directory) -> None:
-    os.makedirs(directory, exist_ok=True)
     g = ds.graph
-    p = g.feature_dim
+    if g.labels is None:  # before any file or directory is made
+        raise ValueError("dataset has no labels")
+    os.makedirs(directory, exist_ok=True)
+    header = ["id", *(f"f_{k}" for k in range(g.feature_dim)), "label"]
+    rows = zip(range(g.n), g.features.tolist(), g.labels.tolist())
     with open(os.path.join(directory, "nodes.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"f_{k}" for k in range(p)] + ["label"])
-        feats, labels = g.features.tolist(), g.labels.tolist()
-        writer.writerows([i, *feats[i], labels[i]] for i in range(g.n))
+        csv.writer(fh).writerows([header, *([i, *f, c] for i, f, c in rows)])
     with open(os.path.join(directory, "edges.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "v"])
-        writer.writerows(g.edges.tolist())
+        csv.writer(fh).writerows([["u", "v"], *g.edges.tolist()])
     payload = [{k: np.asarray(v).tolist() for k, v in vars(s).items()} for s in ds.splits]
     with open(os.path.join(directory, "splits.json"), "w") as fh:
         json.dump(payload, fh)
@@ -161,8 +160,20 @@ def _read_rows(fh, fname: str, dtype) -> np.ndarray:
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except UnicodeDecodeError:  # for `_open` to report
+            raise
         except ValueError as exc:  # numpy's "; use `usecols`" advice does not apply: cut it
             raise DataError(f"malformed {fname} row: {str(exc).split('; use')[0]}") from exc
+
+
+@contextlib.contextmanager
+def _open(directory, fname: str):
+    """`fname` in `directory` as UTF-8 text; a byte that does not decode raises DataError."""
+    try:
+        with open(os.path.join(directory, fname), encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{fname} is not UTF-8 text: {exc.reason}") from exc
 
 
 def load_dataset(directory) -> Dataset:
@@ -171,16 +182,11 @@ def load_dataset(directory) -> Dataset:
         if not os.path.exists(os.path.join(directory, fname)):
             raise DataError(f"missing file: {fname}")
 
-    with open(os.path.join(directory, "nodes.csv")) as fh:
+    with _open(directory, "nodes.csv") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        if (
-            len(header) < 3
-            or header[0] != "id"
-            or header[-1] != "label"
-            or header[1:-1] != [f"f_{k}" for k in range(len(header) - 2)]
-        ):
-            raise DataError("malformed nodes.csv header")
         p = len(header) - 2
+        if p < 1 or header != ["id", *(f"f_{k}" for k in range(p)), "label"]:
+            raise DataError("malformed nodes.csv header")
         rows = _read_rows(fh, "nodes.csv", [("id", "i8"), ("f", "f8", (p,)), ("label", "i8")])
     if not rows.size:
         raise DataError("nodes.csv has no rows")
@@ -194,12 +200,12 @@ def load_dataset(directory) -> Dataset:
         raise DataError(f"non-finite feature in nodes.csv at node {int(np.argmin(finite))}")
     labels = rows["label"][order]
 
-    with open(os.path.join(directory, "edges.csv")) as fh:
+    with _open(directory, "edges.csv") as fh:
         if fh.readline().rstrip("\n") != "u,v":
             raise DataError("malformed edges.csv header")
         raw_edges = _read_rows(fh, "edges.csv", [("uv", "i8", (2,))])["uv"]
 
-    with open(os.path.join(directory, "splits.json")) as fh:
+    with _open(directory, "splits.json") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -209,9 +215,13 @@ def load_dataset(directory) -> Dataset:
     splits = []
     for item in payload:
         try:
-            split = Split(*(np.asarray(item[k], dtype=np.int64) for k in ("train", "val", "test")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError("malformed splits.json entry") from exc
+            parts = [item[k] for k in ("train", "val", "test")]
+            # lists of JSON integers only: np.int64 would truncate a float and cast a bool
+            if not all(isinstance(ids, list) and set(map(type, ids)) <= {int} for ids in parts):
+                raise TypeError
+            split = Split(*(np.asarray(ids, dtype=np.int64) for ids in parts))
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise DataError("malformed splits.json entry: need lists of int64 ids") from exc
         _validate_split(split, n)
         splits.append(split)
 

@@ -83,13 +83,6 @@ def from_edge_list(n: int, raw_edges, features, labels=None) -> Graph:
     return Graph(n=n, edges=edges, features=features, labels=labels)
 
 
-def one_hop_neighbourhood(g: Graph, i: int) -> np.ndarray:
-    """Ascending ids of the nodes adjacent to i (i itself excluded)."""
-    if not 0 <= i < g.n:
-        raise ValueError(f"node index {i} out of range [0, {g.n})")
-    return g._adjacent[g._indptr[i]:g._indptr[i + 1]].copy()
-
-
 def homophily(g: Graph, labels=None) -> float:
     """Fraction of edges whose endpoints carry the same class label."""
     if labels is None:

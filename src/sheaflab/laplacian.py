@@ -1,11 +1,12 @@
 """The block Laplacian L = delta^T delta of a sheaf.
 
-The Laplacian is stored block-sparse: n diagonal d x d blocks plus one
-off-diagonal block per canonical edge (u, v), holding the block at
-block-row v / block-column u; the mirrored block is its transpose. For an
-orthogonal sheaf the diagonal block at v is deg(v) * I and the stored
-off-diagonal block is minus the u-to-v transport. Spectra fall back to a
-dense symmetric eigensolver behind a size guard.
+The Laplacian is stored block-sparse: n diagonal blocks, each as its d
+diagonal entries, plus one off-diagonal d x d block per canonical edge
+(u, v), holding the block at block-row v / block-column u; the mirrored
+block is its transpose. For an orthogonal sheaf the diagonal block at v
+is deg(v) * I and the stored off-diagonal block is minus the u-to-v
+transport. Spectra fall back to a dense symmetric eigensolver behind a
+size guard.
 
 `apply` runs block-sparse through a slot plan that it builds on an
 operator's first call and caches on it. The plan numbers the nodes by
@@ -15,7 +16,8 @@ order, then the mirrored transposes). Slot k holds every node's k-th
 contribution, so its destinations are the positions [0, c_k) of the c_k
 nodes of degree > k. Slots smaller than `_MIN_SLOT` (a hub's long run) form
 one `np.add.at` tail. Every entry thus sums the same terms in the same order
-as a block-by-block loop, bitwise equal to it at width f >= 2 and at d = 1.
+as a block-by-block loop, bitwise equal to it at width f >= 2 and at d = 1
+(up to the sign of a zero, as at an isolated node, whose diagonal is 0).
 The plan copies the blocks (mirrored ones transposed), so an operator must
 not be mutated after its first `apply`; at width 1 and d >= 2 numpy's
 matrix-vector product rounds differently for a mirrored block, by at most
@@ -40,14 +42,15 @@ _MIN_SLOT = 256  # slots with fewer contributions join the np.add.at tail
 class BlockLaplacian:
     """Symmetric nd x nd operator stored as d x d blocks.
 
-    `off[e]` is the block at (block-row v, block-column u) for canonical
-    edge (u, v); the (u, v) block is implied as its transpose.
+    `diag[v]` is the (v, v) block's diagonal, its only nonzeros. `off[e]` is the
+    block at (block-row v, block-column u) for canonical edge (u, v); the
+    (u, v) block is implied as its transpose.
     """
 
     n: int
     d: int
     edges: np.ndarray       # (m, 2) canonical
-    diag: np.ndarray        # (n, d, d)
+    diag: np.ndarray        # (n, d): the diagonal blocks' diagonals
     off: np.ndarray         # (m, d, d)
     normalised: bool = False
     _plan: tuple | None = field(default=None, init=False, repr=False)  # see _slot_plan
@@ -81,14 +84,14 @@ def _check_match(s: Sheaf, g: Graph) -> None:
 def _entries(lap: BlockLaplacian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scalar (rows, cols, vals) of every stored entry, zeros included.
 
-    The diagonal blocks come first, then the (v, u) block of each edge, then
-    its mirrored transpose at (u, v); each block is listed row-major.
+    The nd diagonal entries come first, then the (v, u) block of each edge,
+    then its mirrored transpose at (u, v); each block is listed row-major.
     """
     d = lap.d
     a, b = np.divmod(np.arange(d * d), d)  # in-block row and column, row-major
-    nodes, us, vs = np.arange(lap.n)[:, None] * d, lap.edges[:, :1] * d, lap.edges[:, 1:] * d
-    rows = np.concatenate([(nodes + a).ravel(), (vs + a).ravel(), (us + b).ravel()])
-    cols = np.concatenate([(nodes + b).ravel(), (us + b).ravel(), (vs + a).ravel()])
+    us, vs = lap.edges[:, :1] * d, lap.edges[:, 1:] * d
+    rows = np.concatenate([np.arange(lap.dim), (vs + a).ravel(), (us + b).ravel()])
+    cols = np.concatenate([np.arange(lap.dim), (us + b).ravel(), (vs + a).ravel()])
     off = lap.off.ravel()
     return rows, cols, np.concatenate([lap.diag.ravel(), off, off])
 
@@ -97,7 +100,7 @@ def sheaf_laplacian(s: Sheaf, g: Graph) -> BlockLaplacian:
     """Direct block assembly: deg(v) * I diagonal, minus-transport off-diagonal."""
     _check_match(s, g)
     n, d = g.n, s.d
-    diag = g.degrees.astype(np.float64)[:, None, None] * np.eye(d)[None, :, :]
+    diag = np.repeat(g.degrees.astype(np.float64)[:, None], d, axis=1)
     off = -s.transports.copy()
     return BlockLaplacian(n=n, d=d, edges=s.edges.copy(), diag=diag, off=off)
 
@@ -111,9 +114,9 @@ def normalise(lap: BlockLaplacian) -> BlockLaplacian:
     """
     if lap.normalised:
         raise ValueError("Laplacian is already normalised")
-    deg = np.trace(lap.diag, axis1=1, axis2=2) / lap.d
+    deg = lap.diag.sum(1) / lap.d
     scale = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 1.0)
-    diag = lap.diag * (scale ** 2)[:, None, None]
+    diag = lap.diag * (scale ** 2)[:, None]
     us, vs = lap.edges[:, 0], lap.edges[:, 1]
     off = lap.off * (scale[us] * scale[vs])[:, None, None]
     return BlockLaplacian(
@@ -123,7 +126,7 @@ def normalise(lap: BlockLaplacian) -> BlockLaplacian:
 
 def _slot_plan(lap: BlockLaplacian) -> tuple:
     """(perm, pos, diag, sizes, blocks, src, tail_dst): the nodes by degree, their positions,
-    the diagonal blocks in `perm` order, the slot sizes, every contribution's block and
+    the (n, d, 1) diagonals in `perm` order, the slot sizes, every contribution's block and
     source node in slot-major order (slots sorted by position, then the tail), and the
     tail's destination positions.
     """
@@ -146,7 +149,7 @@ def _slot_plan(lap: BlockLaplacian) -> tuple:
     src[slot_of] = lap.edges.T.ravel()
     slots, tail = sizes[sizes >= _MIN_SLOT], sizes[sizes < _MIN_SLOT]
     tail_dst = np.arange(tail.sum()) - np.repeat(np.cumsum(tail) - tail, tail)
-    return perm, pos, lap.diag[perm], slots.tolist(), blocks, src, tail_dst
+    return perm, pos, lap.diag[perm, :, None], slots.tolist(), blocks, src, tail_dst
 
 
 def apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
@@ -159,7 +162,7 @@ def apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
     if lap._plan is None:
         lap._plan = _slot_plan(lap)
     perm, pos, diag, sizes, blocks, src, tail_dst = lap._plan
-    out = np.matmul(diag, xb[perm])
+    out = diag * xb[perm]
     lo = 0
     gathered, product = np.empty((2, sizes[0] if sizes else 0) + xb.shape[1:])
     for size in sizes:

@@ -283,7 +283,7 @@ def gcn_propagation_matrix(g: Graph) -> BlockLaplacian:
         n=g.n,
         d=1,
         edges=g.edges,
-        diag=(scale ** 2)[:, None, None],
+        diag=(scale ** 2)[:, None],
         off=(scale[us] * scale[vs])[:, None, None],
     )
 

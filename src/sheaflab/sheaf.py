@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, GuardError
-from .graph import Graph, one_hop_neighbourhood
+from .graph import Graph
 
 # Reproducibility thresholds. Left singular vectors are defined only up to
 # sign (and up to rotation inside a tied singular block), so builds pin a
@@ -145,29 +145,30 @@ def _pca_bases(features: np.ndarray, centres: np.ndarray, neighbours: np.ndarray
     return bases, completed
 
 
-def neighbourhood_with_padding(g: Graph, features, i: int, d: int) -> np.ndarray:
-    """1-hop neighbours of i, padded up to length d with nearest non-neighbours.
+def neighbourhood_with_padding(g: Graph, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's 1-hop neighbours, padded up to length d with nearest non-neighbours.
 
-    Padding candidates are every node other than i and its neighbours, taken
-    in ascending order of Euclidean feature distance to node i, ties broken
-    by lower node id.
+    Returns (flat, starts): node i's neighbourhood is flat[starts[i]:starts[i + 1]],
+    its ascending neighbours, then for a node of degree below d the padding:
+    every node other than i and its neighbours, in ascending order of
+    Euclidean feature distance to node i, ties broken by lower node id.
     """
     if d < 1:
         raise ValueError("stalk dimension must be >= 1")
     if g.n <= d:
         raise GuardError(f"cannot pad neighbourhoods: need n > d, got n={g.n}, d={d}")
-    features = np.asarray(features, dtype=np.float64)
-    hop = one_hop_neighbourhood(g, i)
-    if hop.size >= d:
-        return hop
-    mask = np.ones(g.n, dtype=bool)
-    mask[i] = False
-    mask[hop] = False
-    cand = np.flatnonzero(mask)
-    dists = np.linalg.norm(features[cand] - features[i], axis=1)
-    order = np.lexsort((cand, dists))  # distance first, node id on ties
-    pad = cand[order[: d - hop.size]]
-    return np.concatenate([hop, pad])
+    starts = np.concatenate(([0], np.cumsum(np.maximum(g.degrees, d))))
+    flat = np.empty(starts[-1], dtype=np.int64)
+    # node i's CSR run moves right by the padding of the nodes before it
+    shift = starts[:-1] - g._indptr[:-1]
+    flat[np.arange(g._adjacent.size) + np.repeat(shift, g.degrees)] = g._adjacent
+    for i in np.flatnonzero(g.degrees < d):
+        lo, hi = g._indptr[i], g._indptr[i + 1]
+        cand = np.delete(np.arange(g.n), np.append(g._adjacent[lo:hi], i))  # ascending
+        dists = np.linalg.norm(g.features[cand] - g.features[i], axis=1)
+        order = np.lexsort((cand, dists))  # distance first, node id on ties
+        flat[starts[i] + hi - lo:starts[i + 1]] = cand[order[: d - (hi - lo)]]
+    return flat, starts
 
 
 def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,19 +205,11 @@ def build_connection_sheaf(g: Graph, d: int) -> Sheaf:
     bit-identical sheaves. Diagnostics count padded neighbourhoods,
     rank-completed bases and near-singular alignments.
     """
-    if d < 1:
-        raise ValueError("stalk dimension must be >= 1")
     p = g.feature_dim
     if d > p:
         raise GuardError("stalk dimension exceeds feature dimension")
-    if g.n <= d:
-        raise GuardError(f"cannot pad neighbourhoods: need n > d, got n={g.n}, d={d}")
-
-    sizes = np.maximum(g.degrees, d)  # a padded neighbourhood has length d
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    flat = np.empty(starts[-1], dtype=np.int64)
-    for i in range(g.n):
-        flat[starts[i]:starts[i + 1]] = neighbourhood_with_padding(g, g.features, i, d)
+    flat, starts = neighbourhood_with_padding(g, d)
+    sizes = np.diff(starts)
     bases = np.empty((g.n, p, d), dtype=np.float64)
     completed = 0
     for size in np.unique(sizes):  # one batched SVD per neighbourhood length

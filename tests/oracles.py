@@ -7,10 +7,15 @@ independent of the vectorised package code it checks:
   Laplacian as the dense product delta^T delta;
 - `graph_laplacian`: the classical dense L = D - A;
 - `read_laplacian_coo`: a dense matrix back from a COO export;
+- `one_hop_neighbourhood` and `loop_neighbourhood_with_padding`: one
+  node's neighbours from the CSR adjacency, and its padded neighbourhood
+  with its own distance sort, one node per call;
 - `loop_to_dense` and `loop_write_laplacian_coo`: block-by-block versions
-  of `BlockLaplacian.to_dense` and `write_laplacian_coo`;
-- `addat_apply`: `laplacian.apply` with one multi-dimensional `np.add.at`
-  of whole (d, f) blocks per pass;
+  of `BlockLaplacian.to_dense` and `write_laplacian_coo`, each diagonal
+  block rebuilt as a full d x d matrix;
+- `addat_apply`: `laplacian.apply` with one matmul of every full d x d
+  diagonal block and one multi-dimensional `np.add.at` of whole (d, f)
+  blocks per pass;
 - `euler_diffusion`: explicit unit-step Euler diffusion (I - L)^steps x0,
   which as many identity-weight diffusion layers reproduce (criterion 09);
 - `sheaf_layer`: one diffusion layer X - act(L (I kron W1) X W2), the same
@@ -20,7 +25,8 @@ independent of the vectorised package code it checks:
   SVD or matrix product per edge;
 - `loop_build_sheaf`: every sheaf kind with per-node bases (one
   `_pca_basis` call per node, the package's fallback for degenerate
-  spectra), a per-node padding count and, per Haar draw, numpy's own
+  spectra), per-node padding (`loop_neighbourhood_with_padding`), a
+  per-node padding count and, per Haar draw, numpy's own
   `np.random.Philox` stream for the item (`philox_item_words`), Box-Muller
   on that item alone (`philox_item_normals`) and one QR;
 - `all_pairs_synth_sbm`: the SBM sampler that draws all n(n-1)/2
@@ -40,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from sheaflab.data import Dataset, Split, generate_splits
-from sheaflab.errors import DataError
-from sheaflab.graph import Graph, from_edge_list, one_hop_neighbourhood
+from sheaflab.errors import DataError, GuardError
+from sheaflab.graph import Graph, from_edge_list
 from sheaflab.laplacian import BlockLaplacian, _check_match, apply
 from sheaflab.sheaf import (
     _RANK_TOL,
@@ -49,7 +55,6 @@ from sheaflab.sheaf import (
     BuildDiagnostics,
     Sheaf,
     _pca_basis,
-    neighbourhood_with_padding,
     trivial_sheaf,
 )
 
@@ -126,13 +131,20 @@ def coboundary(s: Sheaf, g: Graph, orientations=None) -> Coboundary:
 
 
 def laplacian_from_coboundary(c: Coboundary) -> BlockLaplacian:
-    """Oracle path: dense delta^T delta, re-blocked on the edge pattern."""
+    """Oracle path: dense delta^T delta, re-blocked on the edge pattern.
+
+    A diagonal block is kept as its diagonal; its other entries must vanish
+    (to 1e-10, as they do for orthogonal transports), else ValueError.
+    """
     delta = c.to_dense()
     dense = delta.T @ delta
     n, d = c.n, c.d
-    diag = np.empty((n, d, d), dtype=np.float64)
+    diag = np.empty((n, d), dtype=np.float64)
     for v in range(n):
-        diag[v] = dense[v * d:(v + 1) * d, v * d:(v + 1) * d]
+        block = dense[v * d:(v + 1) * d, v * d:(v + 1) * d]
+        if np.max(np.abs(block - np.diag(np.diag(block)))) > 1e-10:
+            raise ValueError(f"diagonal block {v} is not diagonal")
+        diag[v] = np.diag(block)
     off = np.empty((c.num_edges, d, d), dtype=np.float64)
     for e, (u, v) in enumerate(c.edges):
         off[e] = dense[v * d:(v + 1) * d, u * d:(u + 1) * d]
@@ -151,11 +163,43 @@ def graph_laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
+def one_hop_neighbourhood(g: Graph, i: int) -> np.ndarray:
+    """Ascending ids of the nodes adjacent to i (i itself excluded)."""
+    if not 0 <= i < g.n:
+        raise ValueError(f"node index {i} out of range [0, {g.n})")
+    return g._adjacent[g._indptr[i]:g._indptr[i + 1]].copy()
+
+
+def loop_neighbourhood_with_padding(g: Graph, features, i: int, d: int) -> np.ndarray:
+    """1-hop neighbours of i, padded up to length d with nearest non-neighbours.
+
+    Padding candidates are every node other than i and its neighbours, taken
+    in ascending order of Euclidean feature distance to node i, ties broken
+    by lower node id.
+    """
+    if d < 1:
+        raise ValueError("stalk dimension must be >= 1")
+    if g.n <= d:
+        raise GuardError(f"cannot pad neighbourhoods: need n > d, got n={g.n}, d={d}")
+    features = np.asarray(features, dtype=np.float64)
+    hop = one_hop_neighbourhood(g, i)
+    if hop.size >= d:
+        return hop
+    mask = np.ones(g.n, dtype=bool)
+    mask[i] = False
+    mask[hop] = False
+    cand = np.flatnonzero(mask)
+    dists = np.linalg.norm(features[cand] - features[i], axis=1)
+    order = np.lexsort((cand, dists))  # distance first, node id on ties
+    pad = cand[order[: d - hop.size]]
+    return np.concatenate([hop, pad])
+
+
 def loop_to_dense(lap: BlockLaplacian) -> np.ndarray:
     n, d = lap.n, lap.d
     dense = np.zeros((n * d, n * d), dtype=np.float64)
     for v in range(n):
-        dense[v * d:(v + 1) * d, v * d:(v + 1) * d] = lap.diag[v]
+        dense[v * d:(v + 1) * d, v * d:(v + 1) * d] = np.diag(lap.diag[v])
     for e, (u, v) in enumerate(lap.edges):
         dense[v * d:(v + 1) * d, u * d:(u + 1) * d] = lap.off[e]
         dense[u * d:(u + 1) * d, v * d:(v + 1) * d] = lap.off[e].T
@@ -167,7 +211,7 @@ def loop_write_laplacian_coo(lap: BlockLaplacian, path) -> None:
     entries: list[tuple[int, int, float]] = []
     d = lap.d
     for v in range(lap.n):
-        block = lap.diag[v]
+        block = np.diag(lap.diag[v])
         for a in range(d):
             for b in range(d):
                 val = float(block[a, b])
@@ -196,7 +240,7 @@ def addat_apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"row count {x.shape[0]} does not match nd={lap.dim}")
     vec = x.ndim == 1
     xb = (x[:, None] if vec else x).reshape(lap.n, lap.d, -1)
-    out = np.matmul(lap.diag, xb)
+    out = np.matmul(lap.diag[:, :, None] * np.eye(lap.d), xb)
     if lap.num_edges:
         us, vs = lap.edges[:, 0], lap.edges[:, 1]
         np.add.at(out, vs, np.matmul(lap.off, xb[us]))
@@ -297,7 +341,7 @@ def loop_build_sheaf(g: Graph, kind: str, d: int, seed: int) -> Sheaf:
     padded = completed = 0
     bases = []
     for i in range(g.n):
-        nbrs = neighbourhood_with_padding(g, g.features, i, d)
+        nbrs = loop_neighbourhood_with_padding(g, g.features, i, d)
         if one_hop_neighbourhood(g, i).size < d:
             padded += 1
         bases.append(_pca_basis(g.features, i, nbrs, d)[0])

@@ -347,6 +347,24 @@ class TestExitCodes:
         assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
         assert "Warning" not in proc.stderr and proc.stdout == ""
 
+    @pytest.mark.parametrize("fname, edit", [
+        ("splits.json", lambda raw: raw.replace(b'"train": [', b'"train": [[', 1)
+         .replace(b'], "val"', b']], "val"', 1)),
+        ("splits.json", lambda raw: raw.replace(b'"train": [', b'"train": [2.9, ', 1)),
+        ("nodes.csv", lambda raw: raw[:-3] + b"\xff" + raw[-3:]),
+        ("edges.csv", lambda raw: b"\xfe" + raw),
+        ("splits.json", lambda raw: raw[:-2] + b"\xc3" + raw[-2:]),
+    ], ids=["nested-split", "fractional-split-id", "non-utf8-nodes", "non-utf8-edges",
+            "non-utf8-splits"])
+    def test_bad_dataset_bytes_are_data_errors(self, dataset_dir, tmp_path, capsys, fname, edit):
+        path = Path(dataset_dir) / fname
+        path.write_bytes(edit(path.read_bytes()))
+        code = main(["build-sheaf", "--dataset", dataset_dir, "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and fname in err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not (tmp_path / "s.csv").exists()
+
     def test_non_finite_feature_is_data_error(self, dataset_dir, tmp_path, capsys):
         nodes = tmp_path / "sbm" / "nodes.csv"
         rows = nodes.read_text().splitlines()

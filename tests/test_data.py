@@ -360,3 +360,48 @@ def test_digit_separators_are_rejected(tmp_path):
     assert_same_dataset(loop_load_dataset(tmp_path / "u"), plain)
     with pytest.raises(DataError, match="malformed nodes.csv row"):
         load_dataset(tmp_path / "u")
+
+
+SPLIT_PAYLOADS = {
+    "nested-list": {"train": [[0, 1, 2, 3]]},
+    "fractional-ids": {"train": [2.9, 3.9]},
+    "integral-float-id": {"train": [0, 1.0]},
+    "bool-id": {"train": [0, True]},
+    "scalar-part": {"train": 5},
+    "string-id": {"train": ["0"]},
+    "id-beyond-int64": {"train": [2**63]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_PAYLOADS))
+def test_split_ids_must_be_json_integers(tmp_path, case):
+    # a deliberate tightening: np.int64 would truncate 2.9 to 2 and cast True to 1
+    ds = synth_sbm(12, 3, 0.3, 0.05, 4, 2.0, seed=0)
+    save_dataset(ds, tmp_path / "bad")
+    split = ds.splits[0]
+    payload = {k: getattr(split, k).tolist() for k in ("train", "val", "test")}
+    payload.update(SPLIT_PAYLOADS[case])
+    (tmp_path / "bad" / "splits.json").write_text(json.dumps([payload]))
+    with pytest.raises(DataError, match="splits.json"):
+        load_dataset(tmp_path / "bad")
+
+
+@pytest.mark.parametrize("fname", ["nodes.csv", "edges.csv", "splits.json"])
+@pytest.mark.parametrize("where", ["first-line", "last-line"])
+def test_non_utf8_byte_is_data_error_naming_the_file(tmp_path, fname, where):
+    save_dataset(synth_sbm(300, 3, 0.05, 0.01, 4, 2.0, seed=0), tmp_path / "bad")
+    path = tmp_path / "bad" / fname
+    raw = path.read_bytes()
+    # after the first byte, or inside the last line: past the first read buffer of a long file
+    cut = 1 if where == "first-line" else len(raw) - 3
+    assert where == "first-line" or cut > 8192 or fname == "splits.json"
+    path.write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+    with pytest.raises(DataError, match=f"{fname} is not UTF-8 text"):
+        load_dataset(tmp_path / "bad")
+
+
+def test_save_without_labels_writes_nothing(tmp_path):
+    g = sl.from_edge_list(3, [(0, 1)], np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="no labels"):
+        save_dataset(sl.Dataset(graph=g, splits=[], name="x"), tmp_path / "out")
+    assert not (tmp_path / "out").exists()

@@ -229,7 +229,7 @@ class TestSpectrum:
         n, d = 2501, 2  # nd = 5002 > DENSE_EIG_LIMIT; no edges, so the operator is small
         lap = sl.BlockLaplacian(
             n=n, d=d, edges=np.empty((0, 2), dtype=np.int64),
-            diag=np.zeros((n, d, d)), off=np.empty((0, d, d)),
+            diag=np.zeros((n, d)), off=np.empty((0, d, d)),
         )
         with pytest.raises(GuardError, match="guard"):
             sl.spectrum(lap)
@@ -360,7 +360,7 @@ def test_write_laplacian_coo_edge_values_match_loop_oracle(
     values = REPR_EDGE_VALUES  # its -0.0 counts as a zero: no line
     if chunk is not None:
         monkeypatch.setattr(sl.laplacian, "_CSV_CHUNK", chunk)
-    diag = np.array(values + [1.0, 0.0, -0.5, 2.0]).reshape(3, 2, 2)
+    diag = np.array(values[:4] + [0.0, 2.0]).reshape(3, 2)
     off = np.array(values[::-1]).reshape(2, 2, 2)
     lap = sl.BlockLaplacian(3, 2, np.array([[0, 1], [1, 2]]), diag, off, normalised=normalised)
     new, old = tmp_path / "new.coo", tmp_path / "old.coo"
@@ -459,7 +459,7 @@ def check_slot_plan(lap, min_slot):
     deg = np.bincount(lap.edges.ravel(), minlength=lap.n)
     assert np.array_equal(perm, np.argsort(-deg, kind="stable"))  # stable descending sort
     assert np.array_equal(pos[perm], np.arange(lap.n))
-    assert np.array_equal(diag, lap.diag[perm])
+    assert np.array_equal(diag, lap.diag[perm, :, None])
     assert blocks.flags.c_contiguous and blocks.shape == (2 * lap.num_edges, lap.d, lap.d)
     assert all(size >= min_slot for size in sizes) and sizes == sorted(sizes, reverse=True)
     assert sum(sizes) + tail_dst.size == 2 * lap.num_edges

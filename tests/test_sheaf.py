@@ -13,17 +13,25 @@ from sheaflab.sheaf import _pca_bases
 from conftest import REPR_EDGE_VALUES, random_graph, random_orthonormal_basis
 from oracles import (
     loop_build_sheaf,
+    loop_neighbourhood_with_padding,
     loop_write_sheaf_csv,
     philox_item_normals,
     philox_item_words,
+    one_hop_neighbourhood,
 )
+
+
+def padded(g, i, d):
+    """Node i's slice of the whole-graph `neighbourhood_with_padding`."""
+    flat, starts = sl.neighbourhood_with_padding(g, d)
+    return flat[starts[i]:starts[i + 1]]
 
 
 class TestNeighbourhoodWithPadding:
     def test_no_padding_when_enough(self):
         feats = np.zeros((4, 2))
         g = sl.from_edge_list(4, [(0, 1), (0, 2)], feats)
-        assert_array_equal(sl.neighbourhood_with_padding(g, feats, 0, 1), [1, 2])
+        assert_array_equal(padded(g, 0, 1), [1, 2])
 
     def test_forced_pad(self):
         # node 0 has one neighbour; nearest non-neighbour is node 7
@@ -31,14 +39,14 @@ class TestNeighbourhoodWithPadding:
         feats[0] = 0.0
         feats[7] = (1.0, 0.0)
         g = sl.from_edge_list(8, [(0, 1)], feats)
-        assert_array_equal(sl.neighbourhood_with_padding(g, feats, 0, 2), [1, 7])
+        assert_array_equal(padded(g, 0, 2), [1, 7])
 
     def test_isolated_node_distance_sort(self):
         # brute-force distance sorting oracle on an isolated node
         rng = np.random.default_rng(0)
         feats = rng.standard_normal((9, 3))
         g = sl.from_edge_list(9, [(1, 2), (3, 4)], feats)
-        got = sl.neighbourhood_with_padding(g, feats, 0, 4)
+        got = padded(g, 0, 4)
         cand = np.arange(1, 9)
         dists = np.linalg.norm(feats[cand] - feats[0], axis=1)
         expected = cand[np.argsort(dists, kind="stable")][:4]
@@ -49,13 +57,51 @@ class TestNeighbourhoodWithPadding:
         feats[0] = 0.0
         feats[[1, 2, 3, 4]] = 1.0  # all pad candidates equidistant
         g = sl.from_edge_list(5, [], feats)
-        assert_array_equal(sl.neighbourhood_with_padding(g, feats, 0, 2), [1, 2])
+        assert_array_equal(padded(g, 0, 2), [1, 2])
 
     def test_cannot_pad(self):
         feats = np.zeros((3, 4))
         g = sl.from_edge_list(3, [(0, 1)], feats)
         with pytest.raises(GuardError, match="cannot pad"):
-            sl.neighbourhood_with_padding(g, feats, 0, 3)
+            sl.neighbourhood_with_padding(g, 3)
+
+    def test_bad_stalk_dimension(self):
+        g = sl.from_edge_list(3, [(0, 1)], np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="stalk dimension"):
+            sl.neighbourhood_with_padding(g, 0)
+
+    @pytest.mark.parametrize(
+        "name, n, edges, ties",
+        [
+            ("isolated nodes", 12, [(0, 1), (1, 2), (2, 3), (5, 6)], False),
+            ("distance ties", 10, [(0, 1), (2, 3), (3, 4)], True),
+            ("n = d + 1", None, [(0, 1)], False),
+            ("no edges", 7, [], True),
+            ("complete", 5, [(u, v) for u in range(5) for v in range(u + 1, 5)], False),
+        ],
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_per_node_oracle(self, name, n, edges, ties, d):
+        n = d + 1 if n is None else n
+        rng = np.random.default_rng(n)
+        # integer features on few values make equal distances common
+        feats = rng.integers(0, 2, (n, 2)).astype(float) if ties else rng.standard_normal((n, 3))
+        g = sl.from_edge_list(n, edges, feats)
+        flat, starts = sl.neighbourhood_with_padding(g, d)
+        assert flat.dtype == np.int64 and starts.shape == (n + 1,) and starts[-1] == flat.size
+        for i in range(n):
+            want = loop_neighbourhood_with_padding(g, feats, i, d)
+            assert np.array_equal(flat[starts[i]:starts[i + 1]], want), (name, i)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4))
+    def test_random_graphs_match_per_node_oracle(self, seed, d):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n=int(rng.integers(d + 1, 30)), edge_prob=0.08)
+        flat, starts = sl.neighbourhood_with_padding(g, d)
+        got = [flat[starts[i]:starts[i + 1]] for i in range(g.n)]
+        want = [loop_neighbourhood_with_padding(g, g.features, i, d) for i in range(g.n)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def pca_basis(feats, centre, neighbours, d):
@@ -574,7 +620,7 @@ def test_pca_group_with_degenerate_nodes_matches_loop_oracle():
     assert s.diagnostics == old.diagnostics
     assert s.diagnostics.rank_completed_bases >= 1
     for i in (0, 5, 10):  # the same routine on a group of one
-        basis = pca_basis(feats, i, sl.one_hop_neighbourhood(g, i), 2)
+        basis = pca_basis(feats, i, one_hop_neighbourhood(g, i), 2)
         assert np.array_equal(basis, old.bases[i])
 
 
@@ -591,10 +637,11 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_connection_build_pads_each_node_once(monkeypatch):
+    # one whole-graph call pads every node, through the module global
     g = random_graph(np.random.default_rng(24), n=30, p_feat=4, edge_prob=0.1)
     calls = _count_calls(monkeypatch, sl.sheaf, "neighbourhood_with_padding")
     sl.build_connection_sheaf(g, 2)
-    assert len(calls) == g.n
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("build", [sl.random_edge_sheaf, sl.random_node_sheaf])
