@@ -143,27 +143,24 @@ def _train_one(ds, kind, cfg, split_index, built, emit_epochs=True):
 
 
 def cmd_train(args) -> int:
+    cfg = load_train_config(args.config, {"d": args.d, "seed": args.seed})  # before any file
     ds = load_dataset(args.dataset)
-    cfg = load_train_config(args.config, {"d": args.d, "seed": args.seed})
-    kind = args.kind
-    if args.split == "all":
-        indices = list(range(len(ds.splits)))
-    else:
-        try:
-            indices = [int(args.split)]
-        except ValueError as exc:
-            raise UsageError(f"bad split value: {args.split}") from exc
+    indices = range(len(ds.splits))
+    if args.split != "all":  # checked before the build
+        if args.split not in map(str, indices):
+            raise UsageError(f"split out of range: {args.split} (dataset has {len(indices)})")
+        indices = [int(args.split)]
 
-    built = build_operator(ds.graph, kind, cfg)  # one build for every split
+    built = build_operator(ds.graph, args.kind, cfg)  # one build for every split
     accs = []
     for index in indices:
-        history = _train_one(ds, kind, cfg, index, built, emit_epochs=len(indices) == 1)
+        history = _train_one(ds, args.kind, cfg, index, built, emit_epochs=len(indices) == 1)
         accs.append(history["test_acc_at_best"])
         _emit(
             {
                 "summary": True,
                 "split": index,
-                "kind": kind,
+                "kind": args.kind,
                 "best_epoch": history["best_epoch"],
                 "best_val_acc": history["best_val_acc"],
                 "test_acc_at_best": history["test_acc_at_best"],
@@ -176,7 +173,7 @@ def cmd_train(args) -> int:
             {
                 "summary": True,
                 "splits": len(indices),
-                "kind": kind,
+                "kind": args.kind,
                 "mean_test_acc": float(accs_arr.mean()),
                 "std_test_acc": float(accs_arr.std(ddof=1)),
             }
@@ -209,8 +206,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    cfg = load_train_config(args.config, {"d": args.d, "seed": args.seed})  # before any file
     ds = load_dataset(args.dataset)
-    cfg = load_train_config(args.config, {"d": args.d, "seed": args.seed})
     if cfg.epochs < 20:
         cfg.epochs = 20  # timing statistics need at least 20 samples
     cfg.patience = 0  # keep every epoch for the timing record

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -55,9 +57,8 @@ def generate_splits(labels, seed: int) -> list[Split]:
     remainder test.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    classes = np.unique(labels)
-    counts = {int(c): int(np.sum(labels == c)) for c in classes}
-    small = [c for c, k in counts.items() if k < 3]
+    classes, counts = np.unique(labels, return_counts=True)
+    small = classes[counts < 3].tolist()
     if small:
         raise ValueError(f"class too small for splitting: {small}")
     splits = []
@@ -154,26 +155,49 @@ def save_dataset(ds: Dataset, directory) -> None:
         json.dump(payload, fh)
 
 
+_NUMPY_ROW = re.compile(r" at row \d+(, )?|; use .*")  # numpy's row number and usecols advice
+_loadtxt = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=1)
+
+
+def _body_lines(fh) -> list:
+    """(1-based line number, text) of each line after the header that loadtxt does not skip."""
+    fh.seek(0)
+    return [(no, line) for no, line in enumerate(fh, 1) if no > 1 and line != "\n"]
+
+
 def _read_rows(fh, fname: str, dtype) -> np.ndarray:
-    """The rows after the header as one structured array: plain numerals, no CSV quoting."""
+    """The rows after fh's one header line as one structured array: plain numerals, no CSV quoting.
+
+    After a failed loadtxt call the body is read again (an undecodable byte fails again, for
+    `_open`) and parsed a line per call, to name the first bad line. numpy sets up every field
+    even for an empty body, so a row type wider than 8 bytes per file byte is never parsed.
+    """
+    if fh.seekable() and np.dtype(dtype).itemsize > 8 * os.fstat(fh.fileno()).st_size:
+        for no, _ in _body_lines(fh):
+            raise DataError(f"malformed {fname} row at line {no}: too few fields for the header")
+        return np.zeros(0, dtype)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except UnicodeDecodeError:  # for `_open` to report
-            raise
-        except ValueError as exc:  # numpy's "; use `usecols`" advice does not apply: cut it
-            raise DataError(f"malformed {fname} row: {str(exc).split('; use')[0]}") from exc
+            return _loadtxt(fh, dtype)
+        except ValueError as exc:
+            for no, line in _body_lines(fh):
+                try:
+                    _loadtxt([line], dtype)
+                except ValueError as bad:
+                    reason = _NUMPY_ROW.sub(lambda m: " in " if m[1] else "", str(bad))
+                    raise DataError(f"malformed {fname} row at line {no}: {reason}") from exc
+            raise DataError(f"malformed {fname}: {exc}") from exc
 
 
 @contextlib.contextmanager
-def _open(directory, fname: str):
-    """`fname` in `directory` as UTF-8 text; a byte that does not decode raises DataError."""
+def _open(path):
+    """The file at `path` as UTF-8 text; a byte that does not decode raises DataError."""
     try:
-        with open(os.path.join(directory, fname), encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        raise DataError(f"{fname} is not UTF-8 text: {exc.reason}") from exc
+        raise DataError(f"{os.path.basename(path)} is not UTF-8 text: {exc.reason}") from exc
 
 
 def load_dataset(directory) -> Dataset:
@@ -182,7 +206,7 @@ def load_dataset(directory) -> Dataset:
         if not os.path.exists(os.path.join(directory, fname)):
             raise DataError(f"missing file: {fname}")
 
-    with _open(directory, "nodes.csv") as fh:
+    with _open(os.path.join(directory, "nodes.csv")) as fh:
         header = fh.readline().rstrip("\n").split(",")
         p = len(header) - 2
         if p < 1 or header != ["id", *(f"f_{k}" for k in range(p)), "label"]:
@@ -200,12 +224,12 @@ def load_dataset(directory) -> Dataset:
         raise DataError(f"non-finite feature in nodes.csv at node {int(np.argmin(finite))}")
     labels = rows["label"][order]
 
-    with _open(directory, "edges.csv") as fh:
+    with _open(os.path.join(directory, "edges.csv")) as fh:
         if fh.readline().rstrip("\n") != "u,v":
             raise DataError("malformed edges.csv header")
         raw_edges = _read_rows(fh, "edges.csv", [("uv", "i8", (2,))])["uv"]
 
-    with _open(directory, "splits.json") as fh:
+    with _open(os.path.join(directory, "splits.json")) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -18,10 +18,12 @@ constructions are deterministic functions of their inputs and seeds.
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _body_lines, _open, _read_rows
 from .errors import DataError, GuardError
 from .graph import Graph
 
@@ -388,42 +390,31 @@ def write_sheaf_csv(s: Sheaf, path) -> None:
 
 
 def read_sheaf_csv(path) -> Sheaf:
-    """The sheaf in a write_sheaf_csv file; a malformed line raises DataError.
+    """The sheaf in a write_sheaf_csv file, read as load_dataset reads its CSVs.
 
     Edges must be canonical (0 <= u < v < n, strictly increasing) and every transport
-    orthogonal to within _ORTHO_TOL; errors name the 1-based line.
+    orthogonal to within _ORTHO_TOL; a DataError names the file and the 1-based line.
     """
-    with open(path) as fh:
+    name = os.path.basename(path)
+    with _open(path) as fh:
         header = fh.readline().strip()
         try:
             meta = dict(item.split("=", 1) for item in header.split(","))
             n, d, kind = int(meta["n"]), int(meta["d"]), meta["kind"]
             if n < 0 or d < 1:
                 raise ValueError
+            row = np.dtype([("uv", "i8", (2,)), ("t", "f8", (d, d))])  # ValueError: d >= 16384
         except (KeyError, ValueError) as exc:
-            raise DataError(f"line 1: bad header {header!r}, need n >= 0, d >= 1, kind") from exc
-        edges, entries, line_nos = [], [], []
-        for no, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if parts == [""]:
-                continue
-            if len(parts) != 2 + d * d:
-                raise DataError(f"line {no}: expected {2 + d * d} fields, got {len(parts)}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-                entries.append([float(x) for x in parts[2:]])
-            except ValueError as exc:
-                raise DataError(f"line {no}: {exc}") from exc
-            line_nos.append(no)
-    edges_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    transports = np.array(entries, dtype=np.float64).reshape(-1, d, d)
-    us, vs = edges_arr[:, 0], edges_arr[:, 1]
-    bad = (us < 0) | (us >= vs) | (vs >= n)
-    bad[1:] |= (us[1:] < us[:-1]) | ((us[1:] == us[:-1]) & (vs[1:] <= vs[:-1]))
-    if bad.any():
-        raise DataError(f"line {line_nos[np.argmax(bad)]}: edge not canonical or out of order")
-    gram = np.matmul(np.transpose(transports, (0, 2, 1)), transports)
-    ortho = np.max(np.abs(gram - np.eye(d)), axis=(1, 2)) <= _ORTHO_TOL
-    if not ortho.all():
-        raise DataError(f"line {line_nos[np.argmin(ortho)]}: transport not orthogonal")
-    return Sheaf(d=d, n=n, kind=kind, edges=edges_arr, transports=transports)
+            raise DataError(f"{name} line 1: bad header {header!r} (n>=0, d>=1, kind)") from exc
+        rows = _read_rows(fh, name, row)
+        edges, transports = np.ascontiguousarray(rows["uv"]), np.ascontiguousarray(rows["t"])
+        us, vs = edges[:, 0], edges[:, 1]
+        bad = (us < 0) | (us >= vs) | (vs >= n)
+        bad[1:] |= (us[1:] < us[:-1]) | ((us[1:] == us[:-1]) & (vs[1:] <= vs[:-1]))
+        gram = np.matmul(np.transpose(transports, (0, 2, 1)), transports)
+        ortho = np.max(np.abs(gram - np.eye(d)), axis=(1, 2)) <= _ORTHO_TOL
+        checks = {"edge not canonical or out of order": bad, "transport not orthogonal": ~ortho}
+        for what, mask in checks.items():
+            if mask.any():
+                raise DataError(f"{name} line {_body_lines(fh)[np.argmax(mask)][0]}: {what}")
+    return Sheaf(d=d, n=n, kind=kind, edges=edges, transports=transports)

@@ -1,6 +1,11 @@
 import numpy as np
+from hypothesis import settings
 
 import sheaflab as sl
+
+# the fuzz tests (tests/test_fuzz.py) set no example budget of their own: they take
+# Hypothesis' default, and a larger one under `pytest --hypothesis-profile=ci`
+settings.register_profile("ci", max_examples=1000)
 
 # floats whose reprs the text writers must reproduce: the signed zero, the smallest
 # subnormal, the longest repr (24 characters), the largest finite, and both sides of

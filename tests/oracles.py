@@ -21,6 +21,8 @@ independent of the vectorised package code it checks:
 - `sheaf_layer`: one diffusion layer X - act(L (I kron W1) X W2), the same
   operations in the same order as `model.forward`'s loop;
 - `loop_write_sheaf_csv`: the per-edge version of `write_sheaf_csv`;
+- `loop_read_sheaf_csv`: the sheaf CSV reader with one `int()` or `float()`
+  per field and the line numbers kept in a list;
 - `loop_transports_from_bases` and `loop_node_sheaf_from_matrices`: one
   SVD or matrix product per edge;
 - `loop_build_sheaf`: every sheaf kind with per-node bases (one
@@ -50,6 +52,7 @@ from sheaflab.errors import DataError, GuardError
 from sheaflab.graph import Graph, from_edge_list
 from sheaflab.laplacian import BlockLaplacian, _check_match, apply
 from sheaflab.sheaf import (
+    _ORTHO_TOL,
     _RANK_TOL,
     _SINGULAR_TOL,
     BuildDiagnostics,
@@ -277,6 +280,48 @@ def loop_write_sheaf_csv(s: Sheaf, path) -> None:
         lines.append(",".join([str(int(u)), str(int(v))] + entries))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def loop_read_sheaf_csv(path) -> Sheaf:
+    """The sheaf in a write_sheaf_csv file; a malformed line raises DataError.
+
+    Edges must be canonical (0 <= u < v < n, strictly increasing) and every transport
+    orthogonal to within _ORTHO_TOL; errors name the 1-based line.
+    """
+    with open(path) as fh:
+        header = fh.readline().strip()
+        try:
+            meta = dict(item.split("=", 1) for item in header.split(","))
+            n, d, kind = int(meta["n"]), int(meta["d"]), meta["kind"]
+            if n < 0 or d < 1:
+                raise ValueError
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"line 1: bad header {header!r}, need n >= 0, d >= 1, kind") from exc
+        edges, entries, line_nos = [], [], []
+        for no, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if parts == [""]:
+                continue
+            if len(parts) != 2 + d * d:
+                raise DataError(f"line {no}: expected {2 + d * d} fields, got {len(parts)}")
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+                entries.append([float(x) for x in parts[2:]])
+            except ValueError as exc:
+                raise DataError(f"line {no}: {exc}") from exc
+            line_nos.append(no)
+    edges_arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    transports = np.array(entries, dtype=np.float64).reshape(-1, d, d)
+    us, vs = edges_arr[:, 0], edges_arr[:, 1]
+    bad = (us < 0) | (us >= vs) | (vs >= n)
+    bad[1:] |= (us[1:] < us[:-1]) | ((us[1:] == us[:-1]) & (vs[1:] <= vs[:-1]))
+    if bad.any():
+        raise DataError(f"line {line_nos[np.argmax(bad)]}: edge not canonical or out of order")
+    gram = np.matmul(np.transpose(transports, (0, 2, 1)), transports)
+    ortho = np.max(np.abs(gram - np.eye(d)), axis=(1, 2)) <= _ORTHO_TOL
+    if not ortho.all():
+        raise DataError(f"line {line_nos[np.argmin(ortho)]}: transport not orthogonal")
+    return Sheaf(d=d, n=n, kind=kind, edges=edges_arr, transports=transports)
 
 
 def loop_transports_from_bases(edges: np.ndarray, bases):

@@ -427,6 +427,29 @@ class TestExitCodes:
         assert err.startswith("error: seed must lie in [0, 2**128)") and err.count("\n") == 1
         assert out == "" and calls == []
 
+    @pytest.mark.parametrize("split", ["10", "99", "-1", "one"])
+    def test_bad_split_is_rejected_before_any_build(
+        self, dataset_dir, capsys, monkeypatch, split
+    ):
+        import sheaflab.cli as cli
+
+        calls = []
+        for module in (cli, sl.model):
+            monkeypatch.setattr(module, "build_operator", lambda *a: calls.append(a))
+        code = main(["train", "--dataset", dataset_dir, "--split", split])
+        out, err = capsys.readouterr()
+        assert code == 1 and calls == [] and out == ""
+        assert err == f"error: split out of range: {split} (dataset has 10)\n"
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_config_is_checked_before_the_dataset(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epochs": "3"}')
+        code = main([command, "--dataset", str(tmp_path / "missing"), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1  # the usage error, not the missing dataset's exit 2
+        assert err.startswith("error: config key epochs must be int") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["build-sheaf", "spectrum"])
     @pytest.mark.parametrize(
         "out", ["{tmp}/missing_dir/x.csv", "{tmp}"], ids=["missing-dir", "directory"]

@@ -340,6 +340,26 @@ def test_malformed_input_rejected_by_both_loaders(tmp_path, case):
             loader(tmp_path / "bad")
 
 
+@pytest.mark.parametrize("fname", ["nodes.csv", "edges.csv"])
+@pytest.mark.parametrize("bad", ["field", "count"])
+def test_malformed_row_names_its_line(tmp_path, fname, bad):
+    save_dataset(synth_sbm(12, 3, 0.3, 0.05, 4, 2.0, seed=0), tmp_path / "bad")
+
+    def edit(ls):  # two empty lines, which loadtxt skips, then the body with its fourth row broken
+        body = ls[1:]
+        body[3] = set_field(body[3], 0, "x") if bad == "field" else body[3] + ",0"
+        return [ls[0], "", "", *body]
+
+    edit_csv(tmp_path / "bad" / fname, edit)
+    fields = 6 if fname == "nodes.csv" else 2
+    reason = {
+        "field": r"could not convert string 'x' to int64 in column 1\.$",
+        "count": f"the dtype passed requires {fields} columns but {fields + 1} were found$",
+    }[bad]
+    with pytest.raises(DataError, match=f"^malformed {fname} row at line 7: {reason}"):
+        load_dataset(tmp_path / "bad")
+
+
 def test_quoted_fields_are_rejected(tmp_path):
     # the csv module strips the quotes; the loader reads plain numerals only
     save_dataset(synth_sbm(12, 3, 0.3, 0.05, 4, 2.0, seed=0), tmp_path / "q")

@@ -1,3 +1,5 @@
+import os
+import re
 import tracemalloc
 from dataclasses import astuple
 
@@ -14,6 +16,7 @@ from conftest import REPR_EDGE_VALUES, random_graph, random_orthonormal_basis
 from oracles import (
     loop_build_sheaf,
     loop_neighbourhood_with_padding,
+    loop_read_sheaf_csv,
     loop_write_sheaf_csv,
     philox_item_normals,
     philox_item_words,
@@ -406,6 +409,17 @@ def test_sheaf_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.transports, s.transports)
 
 
+def test_read_sheaf_csv_from_a_pipe():
+    # a pipe has no size to check the header's row type against; a valid file still reads
+    r, w = os.pipe()
+    os.write(w, b"n=3,d=1,kind=x\n0,1,1.0\n1,2,-1.0\n")
+    os.close(w)
+    s = sl.read_sheaf_csv(f"/dev/fd/{r}")
+    os.close(r)
+    assert_array_equal(s.edges, [[0, 1], [1, 2]])
+    assert s.transports.ravel().tolist() == [1.0, -1.0]
+
+
 @pytest.mark.parametrize("kind", ["connection", "trivial", "rand-edge", "rand-node"])
 @pytest.mark.parametrize("edge_prob", [0.0, 0.5])
 def test_sheaf_csv_round_trip_every_kind(tmp_path, kind, edge_prob):
@@ -678,6 +692,7 @@ class TestReadSheafCsvRejects:
         [
             "d=2,kind=trivial", "n=3,kind=trivial", "n=3,d=2",
             "n=3,d=two,kind=x", "n=3,d=0,kind=x", "x",
+            f"n=3,d={10**5},kind=x",  # a row type numpy cannot make
         ],
     )
     def test_header_missing_or_bad_field(self, tmp_path, header):
@@ -686,7 +701,7 @@ class TestReadSheafCsvRejects:
 
     @pytest.mark.parametrize("row", ["0,1,1.0,0.0,0.0", "0,1,1.0,0.0,0.0,1.0,0.0", "0,1"])
     def test_wrong_field_count(self, tmp_path, row):
-        with pytest.raises(DataError, match="line 3: expected 6 fields"):
+        with pytest.raises(DataError, match="line 3: .*requires 6 columns"):
             self.read(tmp_path, rows=[self.ROWS[0], row.replace("0,1", "0,2", 1)])
 
     @pytest.mark.parametrize("row", ["0,2,1.0,0.0,zero,1.0", "0,2.5,1,0,0,1", "x,2,1,0,0,1"])
@@ -713,3 +728,122 @@ class TestReadSheafCsvRejects:
         rows = [self.ROWS[0], "0,2," + entries, self.ROWS[2]]
         with pytest.raises(DataError, match="line 3: transport not orthogonal"):
             self.read(tmp_path, rows=rows)
+
+    @pytest.mark.parametrize("d", [99, 2000])
+    def test_header_too_wide_for_the_file(self, tmp_path, d):
+        # no row of 2 + d*d fields fits: the body must be empty, and no row type is set up
+        with pytest.raises(DataError, match="line 3: too few fields"):
+            self.read(tmp_path, header=f"n=3,d={d},kind=x", rows=["", self.ROWS[0]])
+        s = self.read(tmp_path, header=f"n=3,d={d},kind=x", rows=["", ""])
+        assert s.edges.shape == (0, 2) and s.transports.shape == (0, d, d)
+
+
+def write_lines(path, lines, end="\n"):
+    path.write_bytes("".join(line + end for line in lines).encode())
+
+
+def sheaf_csv_variants(s, tmp_path):
+    """A written sheaf CSV as saved, with CRLF endings and with empty lines around every row."""
+    path = tmp_path / "sheaf.csv"
+    sl.write_sheaf_csv(s, path)
+    lines = path.read_text().splitlines()
+    yield path
+    write_lines(path, lines, end="\r\n")
+    yield path
+    write_lines(path, [lines[0], "", *(x for line in lines[1:] for x in (line, "", "")), ""])
+    yield path
+
+
+def assert_same_sheaf(a, b):
+    assert (a.n, a.d, a.kind) == (b.n, b.d, b.kind)
+    for x, y in ((a.edges, b.edges), (a.transports, b.transports)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.flags.c_contiguous
+        assert x.tobytes() == y.tobytes()  # bitwise, the sign of zero included
+
+
+@pytest.mark.parametrize("kind", ["connection", "trivial", "rand-edge", "rand-node"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("edge_prob", [0.0, 0.4])
+def test_reader_matches_loop_oracle(tmp_path, kind, d, edge_prob):
+    from sheaflab.model import build_sheaf_by_kind
+
+    g = random_graph(np.random.default_rng(30 + d), n=11, p_feat=4, edge_prob=edge_prob)
+    s = build_sheaf_by_kind(g, kind, d, seed=3)
+    for path in sheaf_csv_variants(s, tmp_path):
+        loaded = sl.read_sheaf_csv(path)
+        assert_same_sheaf(loaded, loop_read_sheaf_csv(path))
+        assert_same_sheaf(loaded, s)
+
+
+def test_reader_matches_loop_oracle_on_edge_values(tmp_path):
+    # orthogonal to 1e-10 with the writers' edge values off the diagonal, -0.0 among them
+    tiny = [-0.0, 5e-324, -2.2250738585072014e-308, 1e-17]
+    transports = np.array([[[1.0, x], [-x, -1.0 if x else 1.0]] for x in tiny])
+    s = sl.Sheaf(d=2, n=5, kind="x", edges=np.array([[0, 1], [0, 4], [1, 2], [3, 4]]),
+                 transports=transports)
+    for path in sheaf_csv_variants(s, tmp_path):
+        assert_same_sheaf(sl.read_sheaf_csv(path), loop_read_sheaf_csv(path))
+        assert_same_sheaf(sl.read_sheaf_csv(path), s)
+
+
+# body lines of a malformed n=4, d=2 sheaf CSV, each raising DataError at the marked line
+GOOD = ["0,1,1,0,0,1", "0,2,0,1,1,0", "1,3,-1,0,0,1"]
+MALFORMED_SHEAFS = {
+    "short-row": [GOOD[0], "", "0,2,0,1,1"],
+    "long-row": [GOOD[0], "0,2,0,1,1,0,0"],
+    "endpoints-only": [GOOD[0], "", "", "0,2"],
+    "unparsable-entry": [GOOD[0], "0,2,0,1,x,0"],
+    "float-endpoint": [GOOD[0], "0,2.0,0,1,1,0"],
+    "empty-field": [GOOD[0], "0,2,0,,1,0"],
+    "quoted-field": [GOOD[0], '0,"2",0,1,1,0'],
+    "u-after-v": [GOOD[0], "", "2,0,0,1,1,0"],
+    "self-loop": [GOOD[0], "2,2,0,1,1,0"],
+    "repeated-edge": [GOOD[0], GOOD[0]],
+    "out-of-order": [GOOD[1], "", GOOD[0]],
+    "endpoint-n": [GOOD[0], "1,4,1,0,0,1"],
+    "negative-endpoint": ["-1,1,1,0,0,1"],
+    "not-orthogonal": [GOOD[0], "", "", "0,2,1,1,0,1"],
+    "nan-entry": [GOOD[0], GOOD[1], "1,2,nan,0,0,1"],
+    "scaled": ["", "0,1,2,0,0,2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SHEAFS))
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_malformed_sheaf_same_line_from_both_readers(tmp_path, case, end):
+    rows = MALFORMED_SHEAFS[case]
+    line = 1 + len(rows)  # the last row is the bad one
+    path = tmp_path / "sheaf.csv"
+    write_lines(path, ["n=4,d=2,kind=x", *rows, GOOD[2] if case != "out-of-order" else ""], end)
+    for reader in (sl.read_sheaf_csv, loop_read_sheaf_csv):
+        with pytest.raises(DataError, match=f"line {line}: ") as info:
+            reader(path)
+        assert re.findall(r"line (\d+)", str(info.value)) == [str(line)]
+    with pytest.raises(DataError, match=rf"sheaf\.csv (row at )?line {line}: "):
+        sl.read_sheaf_csv(path)
+
+
+# the deliberate tightenings: plain numerals as in the dataset files, and DataError in place
+# of UnicodeDecodeError and OverflowError; each bad field sits on line 3
+TIGHTENED = {
+    "whitespace-line": (b"   ", None),
+    "digit-separator": (b"0,1_0,1,0,0,1", None),
+    "arabic-indic-digit": ("0,\u0662,0,1,1,0".encode(), None),
+    "non-utf8-byte": (b"0,2,0,1,\xff,0", UnicodeDecodeError),
+    "beyond-int64": (b"0,9223372036854775808,0,1,1,0", OverflowError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIGHTENED))
+def test_tightenings_against_loop_oracle(tmp_path, case):
+    row, oracle_error = TIGHTENED[case]
+    path = tmp_path / "sheaf.csv"
+    path.write_bytes(b"n=11,d=2,kind=x\n" + GOOD[0].encode() + b"\n" + row + b"\n")
+    if oracle_error is None:
+        loop_read_sheaf_csv(path)  # the oracle skipped the line or read int("1_0") as 10
+    else:
+        with pytest.raises(oracle_error):
+            loop_read_sheaf_csv(path)
+    match = "sheaf.csv is not UTF-8" if case == "non-utf8-byte" else "line 3: "
+    with pytest.raises(DataError, match=match):
+        sl.read_sheaf_csv(path)
