@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .data import load_dataset, save_dataset, synth_sbm
+from .data import _reprs, _write_lines, load_dataset, save_dataset, synth_sbm
 from .errors import DataError, GuardError
 from .graph import homophily
 from .laplacian import spectrum
@@ -187,10 +187,8 @@ def cmd_spectrum(args) -> int:
         ds = load_dataset(args.dataset)
         lap, _, _ = build_operator(ds.graph, args.kind, cfg)
         eigs = spectrum(lap)
-        with open(args.out, "w") as fh:
-            fh.write("eigenvalue\n")
-            for val in eigs:
-                fh.write(f"{repr(float(val))}\n")
+        text = _reprs(eigs)
+        _write_lines(args.out, "eigenvalue", eigs.size, lambda lo, hi: [text[lo:hi]], b"\n", 1)
     _emit(
         {
             "command": "spectrum",

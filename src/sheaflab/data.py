@@ -1,4 +1,4 @@
-"""Dataset files, per-class splits, and synthetic SBM generation.
+"""Dataset files, splits, SBM synthesis, and the reader and writer of every package text file.
 
 On-disk layout of a dataset directory:
     nodes.csv   header "id,f_0,...,f_{p-1},label"
@@ -9,7 +9,6 @@ On-disk layout of a dataset directory:
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import json
 import os
@@ -26,6 +25,7 @@ TRAIN_FRACTION = 0.48
 VAL_FRACTION = 0.32
 N_SPLITS = 10
 _SBM_CHUNK = 1 << 18  # candidate node pairs per rng.random call in synth_sbm
+_CSV_CHUNK = 4096     # values per step of the text writers; bounds their buffers
 
 
 @dataclass(eq=False)
@@ -139,17 +139,56 @@ def synth_sbm(
     return Dataset(graph=graph, splits=splits, name=name)
 
 
+def _labels(count: int) -> np.ndarray:
+    """The decimal text of 0 .. count-1 as a fixed-width bytes array."""
+    return np.arange(count).astype(f"S{len(str(count))}")
+
+
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """Flat S24 array of each float64's repr (24 bytes fit every one), filled chunk by chunk."""
+    flat = values.ravel()
+    out = np.empty(flat.size, dtype="S24")
+    for lo in range(0, flat.size, _CSV_CHUNK):
+        out[lo:lo + _CSV_CHUNK] = list(map(repr, flat[lo:lo + _CSV_CHUNK].tolist()))
+    return out
+
+
+def _write_lines(path, header: str, count: int, cells, sep: bytes, width: int) -> None:
+    """Write the line `header`, then `count` LF-ended lines of `width` values each, to path.
+
+    cells(lo, hi) returns the fields of lines lo .. hi-1 (about _CSV_CHUNK values) as fixed-width
+    bytes arrays over those lines; one uint8 matrix joins them with `sep`, one mask drops NULs.
+    """
+    chunk = max(1, _CSV_CHUNK // width)
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        for lo in range(0, count, chunk):
+            k = min(chunk, count - lo)
+            parts = []
+            for a in cells(lo, lo + k):
+                a = a.view(np.uint8).reshape(k, -1, a.itemsize)
+                parts.append(np.dstack([a, np.full(a.shape[:2], sep[0], np.uint8)]).reshape(k, -1))
+            text = np.hstack(parts)
+            text[:, -1] = ord("\n")
+            fh.write(text[text != 0])
+
+
 def save_dataset(ds: Dataset, directory) -> None:
+    """The dataset's three files in `directory`; floats as their repr, LF line ends."""
     g = ds.graph
     if g.labels is None:  # before any file or directory is made
         raise ValueError("dataset has no labels")
     os.makedirs(directory, exist_ok=True)
-    header = ["id", *(f"f_{k}" for k in range(g.feature_dim)), "label"]
-    rows = zip(range(g.n), g.features.tolist(), g.labels.tolist())
-    with open(os.path.join(directory, "nodes.csv"), "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *([i, *f, c] for i, f, c in rows)])
-    with open(os.path.join(directory, "edges.csv"), "w", newline="") as fh:
-        csv.writer(fh).writerows([["u", "v"], *g.edges.tolist()])
+    ids, p = _labels(g.n), g.feature_dim
+    header = ",".join(["id", *(f"f_{k}" for k in range(p)), "label"])
+    _write_lines(
+        os.path.join(directory, "nodes.csv"), header, g.n,
+        # labels have no upper bound, so they are formatted per chunk, never through _labels
+        lambda lo, hi: [ids[lo:hi], _reprs(g.features[lo:hi]), g.labels[lo:hi].astype("S20")],
+        b",", p + 2,
+    )
+    _write_lines(os.path.join(directory, "edges.csv"), "u,v", g.num_edges,
+                 lambda lo, hi: [ids[g.edges[lo:hi]]], b",", 2)
     payload = [{k: np.asarray(v).tolist() for k, v in vars(s).items()} for s in ds.splits]
     with open(os.path.join(directory, "splits.json"), "w") as fh:
         json.dump(payload, fh)
@@ -159,35 +198,40 @@ _NUMPY_ROW = re.compile(r" at row \d+(, )?|; use .*")  # numpy's row number and 
 _loadtxt = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=1)
 
 
-def _body_lines(fh) -> list:
-    """(1-based line number, text) of each line after the header that loadtxt does not skip."""
-    fh.seek(0)
-    return [(no, line) for no, line in enumerate(fh, 1) if no > 1 and line != "\n"]
+def _read_rows(fh, fname: str, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The rows after fh's header line as one structured array, and each row's 1-based line.
 
-
-def _read_rows(fh, fname: str, dtype) -> np.ndarray:
-    """The rows after fh's one header line as one structured array: plain numerals, no CSV quoting.
-
-    After a failed loadtxt call the body is read again (an undecodable byte fails again, for
-    `_open`) and parsed a line per call, to name the first bad line. numpy sets up every field
-    even for an empty body, so a row type wider than 8 bytes per file byte is never parsed.
+    The rest of fh is read once and split at "\\n" only (a form feed stays a parse error), and
+    one loadtxt call parses plain numerals, skipping empty lines; a failed call is followed by
+    one call per line to name the first bad one. numpy sets up every field even for an empty
+    body, so a row type wider than 8 bytes per body character is never parsed.
     """
-    if fh.seekable() and np.dtype(dtype).itemsize > 8 * os.fstat(fh.fileno()).st_size:
-        for no, _ in _body_lines(fh):
+    body = fh.read()
+    lines = body.split("\n")
+    numbers = np.flatnonzero(np.fromiter(map(len, lines), np.int64, len(lines))) + 2
+    if np.dtype(dtype).itemsize > 8 * len(body):
+        for no in numbers[:1]:
             raise DataError(f"malformed {fname} row at line {no}: too few fields for the header")
-        return np.zeros(0, dtype)
+        return np.zeros(0, dtype), numbers
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            return _loadtxt(fh, dtype)
+            return _loadtxt(lines, dtype), numbers
         except ValueError as exc:
-            for no, line in _body_lines(fh):
+            for no in numbers:
                 try:
-                    _loadtxt([line], dtype)
+                    _loadtxt([lines[no - 2]], dtype)
                 except ValueError as bad:
                     reason = _NUMPY_ROW.sub(lambda m: " in " if m[1] else "", str(bad))
                     raise DataError(f"malformed {fname} row at line {no}: {reason}") from exc
             raise DataError(f"malformed {fname}: {exc}") from exc
+
+
+def _check_rows(fname: str, numbers: np.ndarray, checks: dict) -> None:
+    """DataError at the line of the first row failing a check; checks maps reasons to row masks."""
+    for what, mask in checks.items():
+        if mask.any():
+            raise DataError(f"{fname} line {numbers[np.argmax(mask)]}: {what}")
 
 
 @contextlib.contextmanager
@@ -211,23 +255,31 @@ def load_dataset(directory) -> Dataset:
         p = len(header) - 2
         if p < 1 or header != ["id", *(f"f_{k}" for k in range(p)), "label"]:
             raise DataError("malformed nodes.csv header")
-        rows = _read_rows(fh, "nodes.csv", [("id", "i8"), ("f", "f8", (p,)), ("label", "i8")])
+        row = [("id", "i8"), ("f", "f8", (p,)), ("label", "i8")]
+        rows, numbers = _read_rows(fh, "nodes.csv", row)
     if not rows.size:
         raise DataError("nodes.csv has no rows")
     n = rows.size
-    order = np.argsort(rows["id"], kind="stable")
-    if not np.array_equal(rows["id"][order], np.arange(n)):
-        raise DataError("node ids must be contiguous 0..n-1")
-    features = rows["f"][order]
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise DataError(f"non-finite feature in nodes.csv at node {int(np.argmin(finite))}")
-    labels = rows["label"][order]
+    ids, first = np.unique(rows["id"], return_index=True)  # first: the first row of each id
+    repeat = np.ones(n, dtype=bool)
+    repeat[first] = False
+    _check_rows("nodes.csv", numbers, {
+        "repeated node id (ids must be contiguous 0..n-1)": repeat,
+        "non-finite feature": ~np.isfinite(rows["f"]).all(axis=1),
+        "label out of class range": rows["label"] < 0,
+    })
+    if not np.array_equal(ids, np.arange(n)):  # n distinct ids: one of 0..n-1 is absent
+        missing = np.flatnonzero(~np.isin(np.arange(n), ids))[0]
+        raise DataError(f"nodes.csv: node id {missing} is missing (ids must be contiguous 0..n-1)")
+    features, labels = rows["f"][first], rows["label"][first]
 
     with _open(os.path.join(directory, "edges.csv")) as fh:
         if fh.readline().rstrip("\n") != "u,v":
             raise DataError("malformed edges.csv header")
-        raw_edges = _read_rows(fh, "edges.csv", [("uv", "i8", (2,))])["uv"]
+        rows, numbers = _read_rows(fh, "edges.csv", [("uv", "i8", (2,))])
+    raw_edges = rows["uv"]
+    _check_rows("edges.csv", numbers,
+                {"edge endpoint out of range": ((raw_edges < 0) | (raw_edges >= n)).any(axis=1)})
 
     with _open(os.path.join(directory, "splits.json")) as fh:
         try:
@@ -249,8 +301,5 @@ def load_dataset(directory) -> Dataset:
         _validate_split(split, n)
         splits.append(split)
 
-    try:
-        graph = from_edge_list(n, raw_edges, features, labels)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    graph = from_edge_list(n, raw_edges, features, labels)  # every check it makes has passed
     return Dataset(graph=graph, splits=splits, name=os.path.basename(os.path.normpath(directory)))

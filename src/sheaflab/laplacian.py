@@ -30,9 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _labels, _reprs, _write_lines
 from .errors import GuardError
 from .graph import Graph
-from .sheaf import _CSV_CHUNK, Sheaf, _labels, _reprs, _write_lines
+from .sheaf import Sheaf
 
 DENSE_EIG_LIMIT = 5000  # nd beyond this refuses the dense eigensolver
 _MIN_SLOT = 256  # slots with fewer contributions join the np.add.at tail
@@ -212,13 +213,11 @@ def write_laplacian_coo(lap: BlockLaplacian, path) -> None:
     src = src[order]
     del order
     src[src >= lap.diag.size + lap.off.size] -= lap.off.size
-    text = _reprs(np.concatenate([lap.diag.ravel(), lap.off.ravel()]), _CSV_CHUNK)
+    text = _reprs(np.concatenate([lap.diag.ravel(), lap.off.ravel()]))
     labels = _labels(lap.dim)
     flag = "true" if lap.normalised else "false"
-    with open(path, "wb") as fh:
-        fh.write(f"nd={lap.dim} d={lap.d} normalised={flag}\n".encode())
-        _write_lines(
-            fh, key.size,
-            lambda lo, hi: [labels[np.stack(np.divmod(key[lo:hi], lap.dim), 1)], text[src[lo:hi]]],
-            b" ", _CSV_CHUNK,
-        )
+    _write_lines(
+        path, f"nd={lap.dim} d={lap.d} normalised={flag}", key.size,
+        lambda lo, hi: [labels[np.stack(np.divmod(key[lo:hi], lap.dim), 1)], text[src[lo:hi]]],
+        b" ", 3,
+    )

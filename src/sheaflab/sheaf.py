@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _body_lines, _open, _read_rows
+from .data import _check_rows, _labels, _loadtxt, _open, _read_rows, _reprs, _write_lines
 from .errors import DataError, GuardError
 from .graph import Graph
 
@@ -35,7 +35,6 @@ _RANK_TOL = 1e-10      # relative cutoff below which a singular value is zero
 _GS_TOL = 1e-8         # Gram-Schmidt residual below this is near-dependent
 _SINGULAR_TOL = 1e-10  # cross-Gram smallest singular value: alignment flagged
 _ORTHO_TOL = 1e-10     # max |O^T O - I| a transport read from CSV may have
-_CSV_CHUNK = 4096      # values per step of the text writers; bounds their buffers
 
 
 @dataclass(frozen=True)
@@ -345,48 +344,14 @@ def random_node_sheaf(g: Graph, d: int, seed: int) -> Sheaf:
     return node_sheaf_from_matrices(g, _haar_stack(d, seed, g.n))
 
 
-def _labels(count: int) -> np.ndarray:
-    """The decimal text of 0 .. count-1 as a fixed-width bytes array."""
-    return np.arange(count).astype(f"S{len(str(count))}")
-
-
-def _reprs(values: np.ndarray, chunk: int) -> np.ndarray:
-    """Flat S24 array of each float64's repr (24 bytes fit every one), filled chunk by chunk."""
-    flat = values.ravel()
-    out = np.empty(flat.size, dtype="S24")
-    for lo in range(0, flat.size, chunk):
-        out[lo:lo + chunk] = list(map(repr, flat[lo:lo + chunk].tolist()))
-    return out
-
-
-def _write_lines(fh, count: int, cells, sep: bytes, chunk: int) -> None:
-    """Write `count` lines to the binary file fh, at most `chunk` per step.
-
-    cells(lo, hi) returns the fields of lines lo .. hi-1 as fixed-width bytes
-    arrays whose first axis runs over those lines. One uint8 matrix joins
-    them with `sep`; one mask drops their NUL padding.
-    """
-    for lo in range(0, count, chunk):
-        k = min(chunk, count - lo)
-        parts = []
-        for a in cells(lo, lo + k):
-            a = a.view(np.uint8).reshape(k, -1, a.itemsize)
-            parts.append(np.dstack([a, np.full(a.shape[:2], ord(sep), np.uint8)]).reshape(k, -1))
-        text = np.hstack(parts)
-        text[:, -1] = ord("\n")
-        fh.write(text[text != 0])
-
-
 def write_sheaf_csv(s: Sheaf, path) -> None:
     """One record per edge: u, v, then d*d row-major transport entries."""
     labels = _labels(s.n)
-    with open(path, "wb") as fh:
-        fh.write(f"n={s.n},d={s.d},kind={s.kind}\n".encode())
-        _write_lines(
-            fh, s.num_edges,
-            lambda lo, hi: [labels[s.edges[lo:hi]], _reprs(s.transports[lo:hi], _CSV_CHUNK)],
-            b",", max(1, _CSV_CHUNK // (s.d * s.d)),
-        )
+    _write_lines(
+        path, f"n={s.n},d={s.d},kind={s.kind}", s.num_edges,
+        lambda lo, hi: [labels[s.edges[lo:hi]], _reprs(s.transports[lo:hi])],
+        b",", 2 + s.d * s.d,
+    )
 
 
 def read_sheaf_csv(path) -> Sheaf:
@@ -400,21 +365,20 @@ def read_sheaf_csv(path) -> Sheaf:
         header = fh.readline().strip()
         try:
             meta = dict(item.split("=", 1) for item in header.split(","))
-            n, d, kind = int(meta["n"]), int(meta["d"]), meta["kind"]
+            n, d = _loadtxt([f"{meta['n']},{meta['d']}"], np.int64).tolist()  # as in a row
+            kind = meta["kind"]
             if n < 0 or d < 1:
                 raise ValueError
             row = np.dtype([("uv", "i8", (2,)), ("t", "f8", (d, d))])  # ValueError: d >= 16384
         except (KeyError, ValueError) as exc:
             raise DataError(f"{name} line 1: bad header {header!r} (n>=0, d>=1, kind)") from exc
-        rows = _read_rows(fh, name, row)
-        edges, transports = np.ascontiguousarray(rows["uv"]), np.ascontiguousarray(rows["t"])
-        us, vs = edges[:, 0], edges[:, 1]
-        bad = (us < 0) | (us >= vs) | (vs >= n)
-        bad[1:] |= (us[1:] < us[:-1]) | ((us[1:] == us[:-1]) & (vs[1:] <= vs[:-1]))
-        gram = np.matmul(np.transpose(transports, (0, 2, 1)), transports)
-        ortho = np.max(np.abs(gram - np.eye(d)), axis=(1, 2)) <= _ORTHO_TOL
-        checks = {"edge not canonical or out of order": bad, "transport not orthogonal": ~ortho}
-        for what, mask in checks.items():
-            if mask.any():
-                raise DataError(f"{name} line {_body_lines(fh)[np.argmax(mask)][0]}: {what}")
+        rows, numbers = _read_rows(fh, name, row)
+    edges, transports = np.ascontiguousarray(rows["uv"]), np.ascontiguousarray(rows["t"])
+    us, vs = edges[:, 0], edges[:, 1]
+    bad = (us < 0) | (us >= vs) | (vs >= n)
+    bad[1:] |= (us[1:] < us[:-1]) | ((us[1:] == us[:-1]) & (vs[1:] <= vs[:-1]))
+    gram = np.matmul(np.transpose(transports, (0, 2, 1)), transports)
+    ortho = np.max(np.abs(gram - np.eye(d)), axis=(1, 2)) <= _ORTHO_TOL
+    _check_rows(name, numbers,
+                {"edge not canonical or out of order": bad, "transport not orthogonal": ~ortho})
     return Sheaf(d=d, n=n, kind=kind, edges=edges, transports=transports)

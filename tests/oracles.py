@@ -35,7 +35,9 @@ independent of the vectorised package code it checks:
   candidate pairs at once;
 - `loop_validate_split` and `loop_load_dataset`: the dataset reader with
   the csv module, one `int()` or `float()` per field, and a split check
-  through `np.unique`.
+  through `np.unique`;
+- `loop_save_dataset`: the dataset writer with the csv module, which ends
+  every line in CRLF.
 """
 
 from __future__ import annotations
@@ -476,6 +478,23 @@ def loop_validate_split(split: Split, n: int) -> None:
         raise DataError("split overlap")
     if not np.array_equal(np.sort(combined), np.arange(n)):
         raise DataError("split does not cover every node exactly once")
+
+
+def loop_save_dataset(ds: Dataset, directory) -> None:
+    """`save_dataset` with the csv module: CRLF line ends, one str() per field."""
+    g = ds.graph
+    if g.labels is None:  # before any file or directory is made
+        raise ValueError("dataset has no labels")
+    os.makedirs(directory, exist_ok=True)
+    header = ["id", *(f"f_{k}" for k in range(g.feature_dim)), "label"]
+    rows = zip(range(g.n), g.features.tolist(), g.labels.tolist())
+    with open(os.path.join(directory, "nodes.csv"), "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *([i, *f, c] for i, f, c in rows)])
+    with open(os.path.join(directory, "edges.csv"), "w", newline="") as fh:
+        csv.writer(fh).writerows([["u", "v"], *g.edges.tolist()])
+    payload = [{k: np.asarray(v).tolist() for k, v in vars(s).items()} for s in ds.splits]
+    with open(os.path.join(directory, "splits.json"), "w") as fh:
+        json.dump(payload, fh)
 
 
 def loop_load_dataset(directory) -> Dataset:

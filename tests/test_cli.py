@@ -276,6 +276,19 @@ class TestSpectrum:
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert vals[-1] == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_file_matches_repr_loop(self, dataset_dir, tmp_path, capsys, monkeypatch, chunk):
+        if chunk is not None:  # several chunks, the last one partial
+            monkeypatch.setattr(sl.data, "_CSV_CHUNK", chunk)
+        out = tmp_path / "eigs.csv"
+        code, _ = run_cli(capsys, "spectrum", "--dataset", dataset_dir, "--d", "2",
+                          "--kind", "connection", "--out", str(out))
+        assert code == 0
+        g = sl.load_dataset(dataset_dir).graph
+        lap, _, _ = sl.build_operator(g, "connection", TrainConfig(d=2, seed=0))
+        expected = "eigenvalue\n" + "".join(f"{repr(float(v))}\n" for v in sl.spectrum(lap))
+        assert out.read_bytes() == expected.encode()
+
     def test_values_in_range_all_kinds(self, dataset_dir, tmp_path, capsys):
         for kind in ("connection", "rand-edge"):
             out = str(tmp_path / f"{kind}.csv")

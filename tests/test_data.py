@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import sheaflab as sl
 import sheaflab.data
 from sheaflab.data import Split, generate_splits, load_dataset, save_dataset, synth_sbm
 from sheaflab.errors import DataError
-from oracles import all_pairs_synth_sbm, loop_load_dataset
+from oracles import all_pairs_synth_sbm, loop_load_dataset, loop_save_dataset
 
 
 def toy_dataset():
@@ -99,7 +100,7 @@ class TestLoadSave:
         nodes = (tmp_path / "bad" / "nodes.csv").read_text().splitlines()
         nodes[2] = f"1,{value},-1.0,1"
         (tmp_path / "bad" / "nodes.csv").write_text("\n".join(nodes) + "\n")
-        with pytest.raises(DataError, match="non-finite feature in nodes.csv at node 1"):
+        with pytest.raises(DataError, match="^nodes.csv line 3: non-finite feature$"):
             load_dataset(tmp_path / "bad")
 
     def test_malformed_header(self, tmp_path):
@@ -330,6 +331,41 @@ MALFORMED = {
 }
 
 
+# (file, edit of its lines, the exact message) for the checks made after parsing; line k + 2
+# of nodes.csv is node k, and edit_csv writes CRLF line ends
+CHECKED_ROWS = {
+    "endpoint-out-of-range": ("edges.csv", lambda ls: [*ls[:3], "0,12", *ls[3:]],
+                              "edges.csv line 4: edge endpoint out of range"),
+    "negative-endpoint": ("edges.csv", lambda ls: [ls[0], "", "", "-1,0", *ls[1:]],
+                          "edges.csv line 4: edge endpoint out of range"),
+    "non-finite-feature": ("nodes.csv", lambda ls: [*ls[:5], set_field(ls[5], 2, "-inf"), *ls[6:]],
+                           "nodes.csv line 6: non-finite feature"),
+    "negative-label": ("nodes.csv", lambda ls: [*ls[:7], set_field(ls[7], -1, "-2"), *ls[8:]],
+                       "nodes.csv line 8: label out of class range"),
+    # the second occurrence is named, whichever row was edited
+    "repeated-id": ("nodes.csv", lambda ls: [*ls[:9], set_field(ls[9], 0, "3"), *ls[10:]],
+                    "nodes.csv line 10: repeated node id (ids must be contiguous 0..n-1)"),
+    "repeated-id-first": ("nodes.csv", lambda ls: [*ls[:2], set_field(ls[2], 0, "8"), *ls[3:]],
+                          "nodes.csv line 10: repeated node id (ids must be contiguous 0..n-1)"),
+    "gap-in-ids": ("nodes.csv", lambda ls: [*ls[:5], set_field(ls[5], 0, "12"), *ls[6:]],
+                   "nodes.csv: node id 4 is missing (ids must be contiguous 0..n-1)"),
+    "two-gaps": ("nodes.csv", lambda ls: [*ls[:5], set_field(ls[5], 0, "12"), *ls[6:8],
+                                          set_field(ls[8], 0, "13"), *ls[9:]],
+                 "nodes.csv: node id 4 is missing (ids must be contiguous 0..n-1)"),
+    "negative-id": ("nodes.csv", lambda ls: [ls[0], set_field(ls[1], 0, "-1"), *ls[2:]],
+                    "nodes.csv: node id 0 is missing (ids must be contiguous 0..n-1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKED_ROWS))
+def test_check_after_parsing_names_its_line(tmp_path, case):
+    fname, edit, message = CHECKED_ROWS[case]
+    save_dataset(synth_sbm(12, 3, 0.3, 0.05, 4, 2.0, seed=0), tmp_path / "bad")
+    edit_csv(tmp_path / "bad" / fname, edit)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_dataset(tmp_path / "bad")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_rejected_by_both_loaders(tmp_path, case):
     fname, edit, message = MALFORMED[case]
@@ -357,6 +393,16 @@ def test_malformed_row_names_its_line(tmp_path, fname, bad):
         "count": f"the dtype passed requires {fields} columns but {fields + 1} were found$",
     }[bad]
     with pytest.raises(DataError, match=f"^malformed {fname} row at line 7: {reason}"):
+        load_dataset(tmp_path / "bad")
+
+
+@pytest.mark.parametrize("sep", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_unicode_line_breaks_stay_inside_their_line(tmp_path, sep):
+    # str.splitlines() breaks a line at each of these; the reader splits at LF only
+    save_dataset(synth_sbm(12, 3, 0.3, 0.05, 4, 2.0, seed=0), tmp_path / "bad")
+    edit_csv(tmp_path / "bad" / "edges.csv", lambda ls: [*ls[:2], ls[2] + sep + ls[3], *ls[4:]])
+    reason = "the dtype passed requires 2 columns but 3 were found"
+    with pytest.raises(DataError, match=f"^malformed edges.csv row at line 3: {reason}$"):
         load_dataset(tmp_path / "bad")
 
 
@@ -409,7 +455,7 @@ def test_split_ids_must_be_json_integers(tmp_path, case):
 @pytest.mark.parametrize("fname", ["nodes.csv", "edges.csv", "splits.json"])
 @pytest.mark.parametrize("where", ["first-line", "last-line"])
 def test_non_utf8_byte_is_data_error_naming_the_file(tmp_path, fname, where):
-    save_dataset(synth_sbm(300, 3, 0.05, 0.01, 4, 2.0, seed=0), tmp_path / "bad")
+    save_dataset(synth_sbm(400, 3, 0.05, 0.01, 4, 2.0, seed=0), tmp_path / "bad")
     path = tmp_path / "bad" / fname
     raw = path.read_bytes()
     # after the first byte, or inside the last line: past the first read buffer of a long file
@@ -418,6 +464,44 @@ def test_non_utf8_byte_is_data_error_naming_the_file(tmp_path, fname, where):
     path.write_bytes(raw[:cut] + b"\xff" + raw[cut:])
     with pytest.raises(DataError, match=f"{fname} is not UTF-8 text"):
         load_dataset(tmp_path / "bad")
+
+
+def edge_value_dataset():
+    """Features at repr's edge cases and labels far above n, the largest 10**12."""
+    feats = np.array([[-0.0, 5e-324], [1e-17, -2.2250738585072014e-308], [1e16, 1e-05]])
+    g = sl.from_edge_list(3, [(0, 2)], feats, [0, 7, 10**12])
+    return sl.Dataset(graph=g, splits=[Split(*map(np.array, ([0], [1], [2])))], name="x")
+
+
+SAVE_CASES = {
+    "sbm-12": lambda: synth_sbm(12, 3, 0.3, 0.05, 4, 2.0, seed=0),
+    "sbm-60": lambda: synth_sbm(60, 2, 0.2, 0.05, 3, 1.5, seed=1),
+    "sbm-300": lambda: synth_sbm(300, 4, 0.05, 0.01, 8, 2.0, seed=2),
+    "no-edges": lambda: synth_sbm(30, 3, 0.0, 0.0, 4, 2.0, seed=3),
+    "one-node": lambda: sl.Dataset(
+        graph=sl.from_edge_list(1, [], [[0.5, -1.25]], [0]),
+        splits=[Split(np.array([0]), np.array([], int), np.array([], int))], name="x",
+    ),
+    "edge-values": edge_value_dataset,
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("case", sorted(SAVE_CASES))
+def test_save_matches_csv_module_oracle_with_lf(tmp_path, monkeypatch, case, chunk):
+    # the one deliberate difference: LF line ends where the csv module writes CRLF
+    if chunk is not None:  # several chunks per file, the last one partial
+        monkeypatch.setattr(sl.data, "_CSV_CHUNK", chunk)
+    ds = SAVE_CASES[case]()
+    new, old = tmp_path / "new" / "x", tmp_path / "old" / "x"
+    save_dataset(ds, new)
+    loop_save_dataset(ds, old)
+    for name in ("nodes.csv", "edges.csv", "splits.json"):
+        assert (new / name).read_bytes() == (old / name).read_bytes().replace(b"\r\n", b"\n")
+    loaded = load_dataset(new)
+    assert_same_dataset(loaded, load_dataset(old))
+    assert loaded.graph.features.tobytes() == ds.graph.features.tobytes()
+    assert_array_equal(loaded.graph.labels, ds.graph.labels)
 
 
 def test_save_without_labels_writes_nothing(tmp_path):

@@ -343,7 +343,7 @@ def test_write_laplacian_coo_matches_loop_oracle(tmp_path, normalised):
 
 @pytest.mark.parametrize("normalised", [False, True])
 def test_write_laplacian_coo_chunked_matches_loop_oracle(tmp_path, monkeypatch, normalised):
-    monkeypatch.setattr(sl.laplacian, "_CSV_CHUNK", 7)  # several chunks, the last one partial
+    monkeypatch.setattr(sl.data, "_CSV_CHUNK", 7)  # two 3-value lines per chunk, several chunks
     new, old = tmp_path / "new.coo", tmp_path / "old.coo"
     for lap in oracle_gate_laplacians():
         lap = sl.normalise(lap) if normalised else lap
@@ -359,7 +359,7 @@ def test_write_laplacian_coo_edge_values_match_loop_oracle(
 ):
     values = REPR_EDGE_VALUES  # its -0.0 counts as a zero: no line
     if chunk is not None:
-        monkeypatch.setattr(sl.laplacian, "_CSV_CHUNK", chunk)
+        monkeypatch.setattr(sl.data, "_CSV_CHUNK", chunk)
     diag = np.array(values[:4] + [0.0, 2.0]).reshape(3, 2)
     off = np.array(values[::-1]).reshape(2, 2, 2)
     lap = sl.BlockLaplacian(3, 2, np.array([[0, 1], [1, 2]]), diag, off, normalised=normalised)

@@ -444,7 +444,7 @@ def test_write_sheaf_csv_matches_loop_oracle(tmp_path, monkeypatch, kind, d, chu
     from sheaflab.model import build_sheaf_by_kind
 
     if chunk is not None:  # several chunks per file, the last one partial
-        monkeypatch.setattr(sl.sheaf, "_CSV_CHUNK", chunk)
+        monkeypatch.setattr(sl.data, "_CSV_CHUNK", chunk)
     rng = np.random.default_rng(16)
     graphs = (
         random_graph(rng, n=12, edge_prob=0.4),
@@ -464,7 +464,7 @@ def test_write_sheaf_csv_matches_loop_oracle(tmp_path, monkeypatch, kind, d, chu
 @pytest.mark.parametrize("chunk", [None, 3])
 def test_write_sheaf_csv_edge_values_match_loop_oracle(tmp_path, monkeypatch, chunk):
     if chunk is not None:
-        monkeypatch.setattr(sl.sheaf, "_CSV_CHUNK", chunk)
+        monkeypatch.setattr(sl.data, "_CSV_CHUNK", chunk)
     edges = np.array([[0, 1], [1, 12], [3, 12]])
     values_2, values_1 = REPR_EDGE_VALUES + REPR_EDGE_VALUES[2:6], REPR_EDGE_VALUES[5:]
     for d, values in ((2, values_2), (1, values_1)):
@@ -693,6 +693,7 @@ class TestReadSheafCsvRejects:
             "d=2,kind=trivial", "n=3,kind=trivial", "n=3,d=2",
             "n=3,d=two,kind=x", "n=3,d=0,kind=x", "x",
             f"n=3,d={10**5},kind=x",  # a row type numpy cannot make
+            "n=1_0,d=2,kind=x", "n=3,d=\u0662,kind=x",  # plain numerals only, as in a row
         ],
     )
     def test_header_missing_or_bad_field(self, tmp_path, header):
@@ -736,6 +737,32 @@ class TestReadSheafCsvRejects:
             self.read(tmp_path, header=f"n=3,d={d},kind=x", rows=["", self.ROWS[0]])
         s = self.read(tmp_path, header=f"n=3,d={d},kind=x", rows=["", ""])
         assert s.edges.shape == (0, 2) and s.transports.shape == (0, d, d)
+
+
+def read_through_pipe(text):
+    """read_sheaf_csv of `text` written to a pipe, which cannot seek."""
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write(text)
+    try:
+        return sl.read_sheaf_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [(["0,1,x"], 2), (["0,1,1", "", "1,0,1"], 4), (["0,1,1", "0,2,-1", "1,2,2"], 4)],
+)
+def test_sheaf_csv_from_a_pipe_names_its_line(rows, line):
+    with pytest.raises(DataError, match=f"line {line}: "):
+        read_through_pipe("\n".join(["n=3,d=1,kind=x", *rows]) + "\n")
+
+
+def test_valid_sheaf_csv_reads_from_a_pipe():
+    s = read_through_pipe("n=3,d=1,kind=x\n0,1,1.0\n1,2,-1.0\n")
+    assert_array_equal(s.edges, [[0, 1], [1, 2]])
+    assert_array_equal(s.transports.ravel(), [1.0, -1.0])
 
 
 def write_lines(path, lines, end="\n"):
