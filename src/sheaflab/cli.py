@@ -21,8 +21,9 @@ from .data import _reprs, _write_lines, load_dataset, save_dataset, synth_sbm
 from .errors import DataError, GuardError
 from .graph import homophily
 from .laplacian import spectrum
-from .model import EPOCH_KEYS, SHEAF_KINDS, TrainConfig, build_operator, build_sheaf_by_kind, train
-from .sheaf import BuildDiagnostics, write_sheaf_csv
+from .model import BASELINE_KINDS, EPOCH_KEYS, SHEAF_KINDS, TrainConfig, build_operator
+from .model import build_sheaf_by_kind, train
+from .sheaf import write_sheaf_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_train_config(path: str | None, overrides: dict) -> TrainConfig:
+    """The checked TrainConfig: the JSON object at `path`, then the non-None `overrides`."""
     values = {}
     if path is not None:
         try:
@@ -53,22 +55,14 @@ def load_train_config(path: str | None, overrides: dict) -> TrainConfig:
             raise UsageError(f"config file is not valid JSON: {path}") from exc
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
-        types = {f.name: type(f.default) for f in fields(TrainConfig)}
-        for key, value in raw.items():
-            if key not in types:
+        known = {f.name for f in fields(TrainConfig)}
+        for key in raw:
+            if key not in known:
                 raise UsageError(f"unknown config key: {key}")
-            want = types[key]
-            # a float field takes a JSON integer too; JSON true/false is never a number
-            ok = isinstance(value, (int, float) if want is float else want)
-            if not ok or (isinstance(value, bool) and want is not bool):
-                raise UsageError(f"config key {key} must be {want.__name__}, got {value!r}")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
     cfg = TrainConfig(**values)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg.validate()  # its ValueError is a usage error
     return cfg
 
 
@@ -104,10 +98,10 @@ def cmd_build_sheaf(args) -> int:
         {
             "command": "build-sheaf",
             "kind": args.kind,
-            "d": args.d,
+            "d": cfg.d,
             "n": sheaf.n,
             "edges": sheaf.num_edges,
-            **asdict(sheaf.diagnostics or BuildDiagnostics()),
+            **asdict(sheaf.diagnostics),
             "build_seconds": build_seconds,
             "out": args.out,
         }
@@ -193,7 +187,7 @@ def cmd_spectrum(args) -> int:
         {
             "command": "spectrum",
             "kind": args.kind,
-            "d": args.d,
+            "d": cfg.d,
             "count": int(eigs.size),
             "min": float(eigs[0]),
             "max": float(eigs[-1]),
@@ -209,7 +203,8 @@ def cmd_bench(args) -> int:
     if cfg.epochs < 20:
         cfg.epochs = 20  # timing statistics need at least 20 samples
     cfg.patience = 0  # keep every epoch for the timing record
-    _, history = train(ds, args.kind, cfg, 0)
+    built = build_operator(ds.graph, args.kind, cfg)
+    history = _train_one(ds, args.kind, cfg, 0, built, emit_epochs=False)
     secs = np.asarray(history["epoch_seconds"])
     _emit(
         {
@@ -251,41 +246,32 @@ def cmd_synth(args) -> int:
 
 
 def build_parser() -> _Parser:
+    # TrainConfig holds the defaults of --d and --seed, so they default to None here
+    data = _Parser(add_help=False)
+    data.add_argument("--dataset", required=True)
+    data.add_argument("--d", type=int, default=None)
+    data.add_argument("--seed", type=int, default=None)
+    export = _Parser(add_help=False)
+    export.add_argument("--kind", default="connection", choices=SHEAF_KINDS)
+    export.add_argument("--out", required=True)
+    run = _Parser(add_help=False)
+    run.add_argument("--kind", default="connection", choices=SHEAF_KINDS + BASELINE_KINDS)
+    run.add_argument("--config", default=None)
+
     parser = _Parser(prog="sheaflab")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ps = sub.add_parser("build-sheaf", help="precompute a sheaf and export it as CSV")
-    ps.add_argument("--dataset", required=True)
-    ps.add_argument("--d", type=int, default=2)
-    ps.add_argument("--kind", default="connection", choices=SHEAF_KINDS)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--out", required=True)
-    ps.set_defaults(func=cmd_build_sheaf)
-
-    pt = sub.add_parser("train", help="train and evaluate on dataset splits")
-    pt.add_argument("--dataset", required=True)
-    pt.add_argument("--config", default=None)
-    pt.add_argument("--kind", default="connection")
+    sub.add_parser(
+        "build-sheaf", parents=[data, export], help="precompute a sheaf and export it as CSV"
+    ).set_defaults(func=cmd_build_sheaf)
+    pt = sub.add_parser("train", parents=[data, run], help="train and evaluate on dataset splits")
     pt.add_argument("--split", default="0", help="split index or 'all'")
-    pt.add_argument("--d", type=int, default=None)
-    pt.add_argument("--seed", type=int, default=None)
     pt.set_defaults(func=cmd_train)
-
-    pe = sub.add_parser("spectrum", help="eigenvalues of the normalised sheaf Laplacian")
-    pe.add_argument("--dataset", required=True)
-    pe.add_argument("--d", type=int, default=2)
-    pe.add_argument("--kind", default="connection", choices=SHEAF_KINDS)
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--out", required=True)
-    pe.set_defaults(func=cmd_spectrum)
-
-    pb = sub.add_parser("bench", help="time sheaf precompute and training epochs")
-    pb.add_argument("--dataset", required=True)
-    pb.add_argument("--config", default=None)
-    pb.add_argument("--kind", default="connection")
-    pb.add_argument("--d", type=int, default=None)
-    pb.add_argument("--seed", type=int, default=None)
-    pb.set_defaults(func=cmd_bench)
+    sub.add_parser(
+        "spectrum", parents=[data, export], help="eigenvalues of the normalised sheaf Laplacian"
+    ).set_defaults(func=cmd_spectrum)
+    sub.add_parser(
+        "bench", parents=[data, run], help="time sheaf precompute and training epochs"
+    ).set_defaults(func=cmd_bench)
 
     pg = sub.add_parser("synth", help="generate a synthetic SBM dataset directory")
     pg.add_argument("--out", required=True)
@@ -305,7 +291,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # numpy's warnings are muted: the numerical guard reports a non-finite result
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (UsageError, ValueError, OSError) as exc:  # OSError: an unusable file argument
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -105,8 +105,8 @@ def synth_sbm(
         raise ValueError("degenerate parameters: need n >= n_classes >= 1")
     if feature_dim < n_classes:
         raise ValueError("degenerate parameters: need feature_dim >= n_classes")
-    if separation < 0:
-        raise ValueError("degenerate parameters: separation must be >= 0")
+    if not (np.isfinite(separation) and separation >= 0):
+        raise ValueError(f"separation must be finite and >= 0, got {separation}")
 
     sizes = np.full(n_classes, n // n_classes, dtype=np.int64)
     sizes[: n % n_classes] += 1

@@ -23,8 +23,9 @@ every epoch runs two.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -67,6 +68,12 @@ class TrainConfig:
     hidden: int = 32              # hidden width for the gcn/mlp baselines
 
     def validate(self) -> None:
+        """Raise ValueError for a field of the wrong type (a bool is never a number) or range."""
+        for f in fields(self):
+            want, value = type(f.default), getattr(self, f.name)
+            kind = {int: numbers.Integral, float: numbers.Real}.get(want, want)
+            if not isinstance(value, kind) or (isinstance(value, bool) and want is not bool):
+                raise ValueError(f"config key {f.name} must be {want.__name__}, got {value!r}")
         if self.d < 1 or self.f < 1 or self.layers < 1 or self.hidden < 1:
             raise ValueError("d, f, layers and hidden must all be >= 1")
         if not (np.isfinite(self.lr) and self.lr >= 0):
@@ -371,7 +378,7 @@ def build_operator(g: Graph, kind: str, cfg: TrainConfig):
         sheaf = build_sheaf_by_kind(g, kind, cfg.d, cfg.seed)
         op = sheaf_laplacian(sheaf, g)
         op = normalise(op) if cfg.use_normalised else op
-        diagnostics = sheaf.diagnostics or diagnostics
+        diagnostics = sheaf.diagnostics
     elif kind == "gcn":
         op = gcn_propagation_matrix(g)
     elif kind != "mlp":

@@ -56,7 +56,7 @@ class Sheaf:
     edges: np.ndarray           # (m, 2), copied from the graph
     transports: np.ndarray      # (m, d, d); transports[e] maps u-stalk to v-stalk
     bases: np.ndarray | None = None  # (n, p, d) connection bases, sign-canonical
-    diagnostics: BuildDiagnostics | None = None
+    diagnostics: BuildDiagnostics = BuildDiagnostics()  # frozen, so one shared default is safe
 
     @property
     def num_edges(self) -> int:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,8 +183,7 @@ class TestTrain:
     def test_non_finite_loss_is_guard_error(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optimiser": "sgd", "lr": 1e6, "epochs": 50}))
-        with np.errstate(all="ignore"):
-            code = main(["train", "--dataset", dataset_dir, "--config", str(cfg)])
+        code = main(["train", "--dataset", dataset_dir, "--config", str(cfg)])
         assert code == 3
         assert "training loss is" in capsys.readouterr().err
 
@@ -192,13 +192,24 @@ class TestTrain:
         save_dataset(synth_sbm(60, 2, 0.2, 0.05, 2, 2.0, seed=0), target)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optimiser": "sgd", "lr": 1e6}))
-        with np.errstate(all="ignore"):
-            code, records = run_cli(
-                capsys, "train", "--dataset", str(target), "--config", str(cfg)
-            )
+        code, records = run_cli(capsys, "train", "--dataset", str(target), "--config", str(cfg))
         assert code == 3
         assert [r["epoch"] for r in records] == [1, 2, 3]
         assert all(np.isfinite(r["train_loss"]) for r in records)
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_guard_stop_prints_one_line(self, tmp_path, capsys, command):
+        # every warning an error: numpy's overflow warnings would escape main() here
+        target = tmp_path / "sbm60"
+        save_dataset(synth_sbm(60, 2, 0.2, 0.05, 2, 2.0, seed=0), target)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optimiser": "sgd", "lr": 1e6}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--dataset", str(target), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical guard: ") and err.count("\n") == 1
 
     def test_unknown_kind(self, dataset_dir, capsys):
         code = main(["train", "--dataset", dataset_dir, "--kind", "resnet"])
@@ -219,6 +230,20 @@ def test_records_carry_build_diagnostics(dataset_dir, tmp_path, capsys, command,
     assert code == 0
     expected = {"padded_nodes": padded, "rank_completed_bases": 0, "singular_alignments": 0}
     assert {k: records[-1][k] for k in expected} == expected
+
+
+@pytest.mark.parametrize("command", ["build-sheaf", "spectrum"])
+def test_d_and_seed_default_to_train_config(dataset_dir, tmp_path, capsys, command):
+    outputs = []
+    for flags in ([], ["--d", str(TrainConfig().d), "--seed", str(TrainConfig().seed)]):
+        out = tmp_path / f"out{len(flags)}.csv"
+        code, records = run_cli(
+            capsys, command, "--dataset", dataset_dir, "--kind", "rand-edge", "--out", str(out),
+            *flags,
+        )
+        assert code == 0 and records[-1]["d"] == TrainConfig().d
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_every_record_has_its_exact_keys(dataset_dir, tmp_path, capsys):
@@ -316,8 +341,43 @@ class TestBench:
         for key in ("sheaf_build_seconds", "mean_epoch_seconds", "std_epoch_seconds"):
             assert key in rec
 
+    @pytest.mark.parametrize("kind", ["connection", "rand-edge", "gcn", "mlp"])
+    def test_trains_against_one_build(self, dataset_dir, tmp_path, capsys, monkeypatch, kind):
+        import sheaflab.cli as cli
+
+        ds = sl.load_dataset(dataset_dir)
+        _, hist = train(ds, kind, TrainConfig(epochs=20, patience=0), 0)
+        calls, original = [], cli.build_operator
+        monkeypatch.setattr(cli, "build_operator", lambda *a: calls.append(a) or original(*a))
+
+        def no_second_build(*args):
+            raise AssertionError("train() built its own operator")
+
+        monkeypatch.setattr(sl.model, "build_operator", no_second_build)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 3}))  # raised to 20, patience forced to 0
+        code, records = run_cli(
+            capsys, "bench", "--dataset", dataset_dir, "--config", str(cfg), "--kind", kind
+        )
+        assert code == 0 and len(calls) == 1
+        timings = ("sheaf_build_seconds", "mean_epoch_seconds", "std_epoch_seconds")
+        assert {k: v for k, v in records[-1].items() if k not in timings} == {
+            "command": "bench", "kind": kind, "n": ds.graph.n, "edges": ds.graph.num_edges,
+            "d": 2, "epochs": len(hist["epoch"]), **hist["diagnostics"],
+        }
+        assert len(hist["epoch"]) == 20
+
 
 class TestSynth:
+    @pytest.mark.parametrize("separation", ["nan", "inf"])
+    def test_non_finite_separation_is_usage_error(self, tmp_path, capsys, separation):
+        out = tmp_path / "generated"
+        code = main(["synth", "--out", str(out), "--n", "30", "--separation", separation])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: separation must be finite and >= 0, got {separation}\n"
+        assert not out.exists()
+
     def test_generates_loadable_dataset(self, tmp_path, capsys):
         out = str(tmp_path / "generated")
         code, records = run_cli(
@@ -462,6 +522,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1  # the usage error, not the missing dataset's exit 2
         assert err.startswith("error: config key epochs must be int") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_kind_is_checked_before_the_dataset(self, tmp_path, capsys, command):
+        code = main([command, "--dataset", str(tmp_path / "missing"), "--kind", "bogus"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""  # the usage error, not the missing dataset's exit 2
+        assert err.startswith("error: argument --kind: invalid choice: 'bogus'")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["build-sheaf", "spectrum"])
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -430,6 +431,29 @@ def test_multi_step_identity_layers_match_euler():
     x0 = encode(feats, model.arrays[0], 2)
     x = layer_states(lap, x0, [(np.eye(2), np.eye(2))] * 3, "identity")[-1]
     assert_allclose(x, euler_diffusion(lap, x0, 3), atol=1e-12)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("key, value, want", [
+        ("d", 2.5, "int"), ("epochs", "3", "int"), ("epochs", True, "int"),
+        ("seed", 1.5, "int"), ("lr", True, "float"), ("use_normalised", "no", "bool"),
+    ])
+    def test_value_of_wrong_type(self, key, value, want):
+        with pytest.raises(ValueError, match=re.escape(f"config key {key} must be {want}, got ")):
+            TrainConfig(**{key: value}).validate()
+
+    def test_numpy_scalars_are_numbers(self):
+        ds = sl.synth_sbm(60, 2, 0.2, 0.05, 2, 2.0, seed=0)
+        runs = [
+            train(ds, "rand-edge", TrainConfig(epochs=3, seed=seed, lr=lr), 0)[1]["train_loss"]
+            for seed, lr in ((np.int64(4), np.float64(0.05)), (4, 0.05))
+        ]
+        assert runs[0] == runs[1]
+
+    def test_train_checks_types(self):
+        ds = sl.synth_sbm(60, 2, 0.2, 0.05, 2, 2.0, seed=0)
+        with pytest.raises(ValueError, match="config key d must be int, got 2.5"):
+            train(ds, "gcn", TrainConfig(d=2.5), 0)
 
 
 class TestTrain:
