@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .data import _reprs, _write_lines, load_dataset, save_dataset, synth_sbm
+from .data import _reprs, _trainable_split, _write_lines, load_dataset, save_dataset, synth_sbm
 from .errors import DataError, GuardError
 from .graph import homophily
 from .laplacian import spectrum
@@ -139,11 +139,11 @@ def _train_one(ds, kind, cfg, split_index, built, emit_epochs=True):
 def cmd_train(args) -> int:
     cfg = load_train_config(args.config, {"d": args.d, "seed": args.seed})  # before any file
     ds = load_dataset(args.dataset)
-    indices = range(len(ds.splits))
-    if args.split != "all":  # checked before the build
-        if args.split not in map(str, indices):
-            raise UsageError(f"split out of range: {args.split} (dataset has {len(indices)})")
-        indices = [int(args.split)]
+    indices = [i for i in range(len(ds.splits)) if args.split in ("all", str(i))]
+    if not indices:  # every selected split is checked before the build
+        raise UsageError(f"split out of range: {args.split} (dataset has {len(ds.splits)})")
+    for index in indices:
+        _trainable_split(ds, index)
 
     built = build_operator(ds.graph, args.kind, cfg)  # one build for every split
     accs = []
@@ -200,9 +200,9 @@ def cmd_spectrum(args) -> int:
 def cmd_bench(args) -> int:
     cfg = load_train_config(args.config, {"d": args.d, "seed": args.seed})  # before any file
     ds = load_dataset(args.dataset)
-    if cfg.epochs < 20:
-        cfg.epochs = 20  # timing statistics need at least 20 samples
+    cfg.epochs = max(cfg.epochs, 20)  # timing statistics need at least 20 samples
     cfg.patience = 0  # keep every epoch for the timing record
+    _trainable_split(ds, 0)
     built = build_operator(ds.graph, args.kind, cfg)
     history = _train_one(ds, args.kind, cfg, 0, built, emit_epochs=False)
     secs = np.asarray(history["epoch_seconds"])

@@ -50,17 +50,29 @@ def _validate_split(split: Split, n: int) -> None:
         raise DataError("split does not cover every node exactly once")
 
 
+def _trainable_split(ds: Dataset, index: int) -> Split:
+    """Split `index`; ValueError if out of range, DataError if training would find a part empty."""
+    if not 0 <= index < len(ds.splits):
+        raise ValueError(f"split out of range: {index} (dataset has {len(ds.splits)})")
+    for part, ids in vars(ds.splits[index]).items():
+        if not ids.size:
+            raise DataError(f"split {index} has no {part} nodes")
+    return ds.splits[index]
+
+
 def generate_splits(labels, seed: int) -> list[Split]:
     """Ten independent per-class splits from sub-seeds seed+0 .. seed+9.
 
     Per class with n_c members: floor(0.48 n_c) train, floor(0.32 n_c) val,
-    remainder test.
+    remainder test. Every class needs 3 members and one class 4, for a val node.
     """
     labels = np.asarray(labels, dtype=np.int64)
     classes, counts = np.unique(labels, return_counts=True)
     small = classes[counts < 3].tolist()
     if small:
         raise ValueError(f"class too small for splitting: {small}")
+    if counts.max(initial=0) < 4:
+        raise ValueError("no class has the 4 members a validation node needs")
     splits = []
     for k in range(N_SPLITS):
         rng = np.random.default_rng(seed + k)

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .data import _trainable_split
 from .errors import GuardError
 from .graph import Graph
 from .laplacian import BlockLaplacian, apply, normalise, sheaf_laplacian
@@ -394,8 +395,8 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
     `build_operator(dataset.graph, kind, cfg)`'s result, which several
     splits can share; without it `train` builds the operator itself. The
     history carries the build's `sheaf_build_seconds` and `diagnostics`.
-    The weights are the model's `arrays`, for every kind. A non-finite
-    training loss raises GuardError.
+    The weights are the model's `arrays`, for every kind. A split with an
+    empty part raises DataError, a non-finite training loss GuardError.
     """
     cfg.validate()
     g = dataset.graph
@@ -403,11 +404,7 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
         raise ValueError(f"unknown model kind {kind!r}")
     if g.labels is None:
         raise ValueError("dataset has no labels")
-    if not 0 <= split_index < len(dataset.splits):
-        raise ValueError(
-            f"split out of range: {split_index} (dataset has {len(dataset.splits)})"
-        )
-    split, labels = dataset.splits[split_index], g.labels
+    split, labels = _trainable_split(dataset, split_index), g.labels
     n_classes = int(labels.max()) + 1
 
     op, diagnostics, build_seconds = build_operator(g, kind, cfg) if built is None else built

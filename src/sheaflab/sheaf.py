@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Philox  # numpy loads numpy.random lazily: load it with sheaflab
 
 from .data import _check_rows, _labels, _loadtxt, _open, _read_rows, _reprs, _write_lines
 from .errors import DataError, GuardError
@@ -257,58 +258,23 @@ def haar_orthogonal(gaussians: np.ndarray) -> np.ndarray:
     return q * signs[..., None, :]
 
 
-# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key (Weyl) increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_U64 = (1 << 64) - 1
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit words of the 128-bit products m * x, the high word from 32-bit limbs."""
-    lo32, s = np.uint64(0xFFFFFFFF), np.uint64(32)
-    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x0, x1 = x & lo32, x >> s
-    p01, p10 = m0 * x1, m1 * x0
-    carry = (((m0 * x0) >> s) + (p01 & lo32) + (p10 & lo32)) >> s
-    return np.uint64(m) * x, m1 * x1 + (p01 >> s) + (p10 >> s) + carry
-
-
-def _philox_words(seed: int, items: np.ndarray, blocks: int) -> np.ndarray:
-    """The (len(items), 4 * blocks) raw Philox4x64-10 words of each item under key `seed`.
-
-    Item k's row is `np.random.Philox(key=seed, counter=[0, k, 0, 0]).random_raw(4 * blocks)`:
-    block j encrypts the counter (j + 1, k, 0, 0), so a row depends on
-    neither the other items nor the order they are drawn in.
-    """
-    seed = operator.index(seed)
-    if not 0 <= seed < 1 << 128:
-        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
-    shape = (len(items), blocks)
-    k0, k1 = seed & _U64, seed >> 64
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c1 = np.broadcast_to(np.asarray(items, dtype=np.uint64)[:, None], shape)
-    c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    for _ in range(10):
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-        k0, k1 = (k0 + _PHILOX_W[0]) & _U64, (k1 + _PHILOX_W[1]) & _U64
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(shape[0], 4 * blocks)
-
-
 def _standard_normals(seed: int, count: int, size: int) -> np.ndarray:
     """(count, size) standard Gaussians; row k is a function of (seed, k) alone.
 
-    Row k's Philox words w give uniforms u = (w >> 11) * 2**-53, and Box-Muller
-    turns each pair (u_2i, u_2i+1) into r cos t, r sin t with
-    r = sqrt(-2 log1p(-u_2i)) and t = 2 pi u_2i+1; the first `size` are kept.
+    The words come from one `np.random.Philox(key=seed)` stream, seed in [0, 2**128): row k
+    takes its b = ceil(size / 4) four-word counter blocks k b + 1 .. k b + b. A word w gives
+    u = (w >> 11) * 2**-53, and Box-Muller turns each pair (u_2i, u_2i+1) into r cos t, r sin t
+    with r = sqrt(-2 log1p(-u_2i)) and t = 2 pi u_2i+1; the first `size` are kept.
     """
-    pairs = -(-size // 2)
-    words = _philox_words(seed, np.arange(count), -(-pairs // 2))[:, : 2 * pairs]
+    seed = operator.index(seed)  # numpy's own key check would take 1.5 or "3"
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    width = 4 * -(-size // 4)  # whole blocks; explicit, so count = 0 reshapes too
+    words = Philox(key=seed).random_raw(count * width).reshape(count, width)
     u = (words >> np.uint64(11)) * 2.0**-53
     r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
     t = (2.0 * np.pi) * u[:, 1::2]
-    return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(count, 2 * pairs)[:, :size]
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(count, width)[:, :size]
 
 
 def _haar_stack(d: int, seed: int, count: int) -> np.ndarray:

@@ -28,9 +28,10 @@ independent of the vectorised package code it checks:
 - `loop_build_sheaf`: every sheaf kind with per-node bases (one
   `_pca_basis` call per node, the package's fallback for degenerate
   spectra), per-node padding (`loop_neighbourhood_with_padding`), a
-  per-node padding count and, per Haar draw, numpy's own
-  `np.random.Philox` stream for the item (`philox_item_words`), Box-Muller
-  on that item alone (`philox_item_normals`) and one QR;
+  per-node padding count and, per Haar draw, a numpy `np.random.Philox`
+  of the item's own, started at the item's first counter block
+  (`philox_item_words`), Box-Muller on that item alone
+  (`philox_item_normals`) and one QR;
 - `all_pairs_synth_sbm`: the SBM sampler that draws all n(n-1)/2
   candidate pairs at once;
 - `loop_validate_split` and `loop_load_dataset`: the dataset reader with
@@ -351,8 +352,13 @@ def loop_node_sheaf_from_matrices(g: Graph, matrices: np.ndarray) -> Sheaf:
 
 
 def philox_item_words(seed: int, k: int, size: int) -> np.ndarray:
-    """Item k's first `size` raw words: numpy's Philox4x64-10, key `seed`, counter (0, k, 0, 0)."""
-    counter = np.array([0, k, 0, 0], dtype=np.uint64)
+    """Item k's first `size` raw words, from a numpy Philox4x64-10 of its own with key `seed`.
+
+    Each item of `size` words owns b = ceil(size / 4) four-word blocks of the package's
+    one stream, so item k's stream starts at counter (k b, 0, 0, 0): its first block
+    encrypts k b + 1. The words depend on (seed, k, size) alone.
+    """
+    counter = np.array([k * -(-size // 4), 0, 0, 0], dtype=np.uint64)
     return np.random.Philox(key=seed, counter=counter).random_raw(size)
 
 

@@ -378,6 +378,15 @@ class TestSynth:
         assert captured.err == f"error: separation must be finite and >= 0, got {separation}\n"
         assert not out.exists()
 
+    def test_classes_of_three_are_usage_error(self, tmp_path, capsys):
+        # two classes of 3 nodes: floor(0.32 * 3) = 0 val nodes, which no training run accepts
+        out = tmp_path / "generated"
+        code = main(["synth", "--out", str(out), "--n", "6", "--classes", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: no class has the 4 members a validation node needs\n"
+        assert not out.exists()
+
     def test_generates_loadable_dataset(self, tmp_path, capsys):
         out = str(tmp_path / "generated")
         code, records = run_cli(
@@ -513,6 +522,37 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert code == 1 and calls == [] and out == ""
         assert err == f"error: split out of range: {split} (dataset has 10)\n"
+
+    @pytest.mark.parametrize("index, argv", [
+        (0, ["train"]), (3, ["train", "--split", "3"]), (3, ["train", "--split", "all"]),
+        (0, ["bench", "--kind", "gcn"]),
+    ], ids=["train", "train-split-3", "train-all", "bench"])
+    def test_empty_split_part_is_rejected_before_any_build(
+        self, dataset_dir, capsys, monkeypatch, index, argv
+    ):
+        import sheaflab.cli as cli
+
+        path = Path(dataset_dir) / "splits.json"
+        splits = json.loads(path.read_text())
+        splits[index]["val"] += splits[index]["test"]  # the test list moves into val
+        splits[index]["test"] = []
+        path.write_text(json.dumps(splits))
+        calls = []
+        for module in (cli, sl.model):
+            monkeypatch.setattr(module, "build_operator", lambda *a: calls.append(a))
+        code = main([argv[0], "--dataset", dataset_dir, *argv[1:]])
+        out, err = capsys.readouterr()
+        assert code == 2 and calls == [] and out == ""
+        assert err == f"data error: split {index} has no test nodes\n"
+
+    def test_only_selected_splits_need_every_part(self, dataset_dir, capsys):
+        path = Path(dataset_dir) / "splits.json"
+        splits = json.loads(path.read_text())
+        splits[3]["val"], splits[3]["test"] = splits[3]["val"] + splits[3]["test"], []
+        path.write_text(json.dumps(splits))
+        code, records = run_cli(capsys, "train", "--dataset", dataset_dir, "--split", "2",
+                                "--kind", "mlp")
+        assert code == 0 and records[-1]["split"] == 2
 
     @pytest.mark.parametrize("command", ["train", "bench"])
     def test_config_is_checked_before_the_dataset(self, tmp_path, capsys, command):

@@ -154,6 +154,20 @@ class TestGenerateSplits:
         with pytest.raises(ValueError, match="class too small"):
             generate_splits(np.array([0, 0, 0, 1, 1]), seed=0)
 
+    def test_some_class_needs_a_val_node(self):
+        # floor(0.32 * 3) = 0: classes of 3 alone leave every val part empty
+        for labels in ([0, 0, 0], [0, 0, 0, 1, 1, 1], [2, 1, 0] * 3):
+            with pytest.raises(ValueError, match="no class has the 4 members"):
+                generate_splits(np.array(labels), seed=0)
+        with pytest.raises(ValueError, match="no class has the 4 members"):
+            generate_splits(np.zeros(0, dtype=np.int64), seed=0)
+
+    @pytest.mark.parametrize("sizes", [(4,), (3, 4), (3, 3, 3, 4), (5, 3), (3, 3, 7)])
+    def test_no_part_is_empty(self, sizes):
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        for s in generate_splits(labels, seed=6):
+            assert min(s.train.size, s.val.size, s.test.size) >= 1
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 1000))
     def test_partition_random_labels(self, seed):

@@ -494,6 +494,17 @@ class TestTrain:
         with pytest.raises(ValueError, match="split out of range"):
             train(self._dataset(), "trivial", TrainConfig(epochs=1), 99)
 
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_empty_split_part_is_data_error_before_the_build(self, monkeypatch, part):
+        ds = self._dataset()
+        split = ds.splits[2]
+        setattr(split, part, np.zeros(0, dtype=np.int64))
+        calls = []
+        monkeypatch.setattr(sl.model, "build_operator", lambda *a: calls.append(a))
+        with pytest.raises(sl.DataError, match=f"^split 2 has no {part} nodes$"):
+            train(ds, "connection", TrainConfig(epochs=1), 2)
+        assert calls == []
+
     def test_baseline_runs_and_reports(self):
         ds = self._dataset(2)
         for kind in ("gcn", "mlp"):

@@ -565,14 +565,27 @@ def test_haar_draws_use_per_item_seed_streams(d):
 class TestPhiloxDraws:
     """The counter-based stream behind every Haar draw, and the Gaussians it gives."""
 
-    @pytest.mark.parametrize("seed", [0, 5, 11, 2**63 + 7, 3 * 2**64 + 5, 2**128 - 1])
-    def test_raw_words_match_numpy_philox(self, seed):
-        items = np.array([0, 1, 7, 2**32 - 1, 2**32, 2**40, 2**63, 2**64 - 1], dtype=np.uint64)
-        for blocks in (1, 2, 3, 4):
-            words = sl.sheaf._philox_words(seed, items, blocks)
-            assert words.shape == (items.size, 4 * blocks) and words.dtype == np.uint64
-            for row, k in zip(words, items):
-                assert np.array_equal(row, philox_item_words(seed, int(k), 4 * blocks))
+    @pytest.mark.parametrize("seed", [0, 3 * 2**64 + 5, 2**128 - 1])
+    def test_rows_match_per_item_oracle(self, seed):
+        for d in (1, 2, 3, 4):  # b = ceil(d * d / 4) blocks per item: 1, 1, 3, 4
+            z = sl.sheaf._standard_normals(seed, 9, d * d)
+            assert z.shape == (9, d * d) and z.dtype == np.float64
+            for k, row in enumerate(z):
+                assert np.array_equal(row, philox_item_normals(seed, k, d * d))
+
+    def test_items_tile_one_numpy_philox_stream(self):
+        # item k of b blocks starts where item k - 1 ended: blocks k b + 1 .. k b + b
+        stream = np.random.Philox(key=7).random_raw(5 * 12)
+        for k in range(5):
+            assert np.array_equal(philox_item_words(7, k, 12), stream[12 * k:12 * k + 12])
+
+    @pytest.mark.parametrize("seed", [1.5, "3", -1, 2**128])
+    def test_seed_must_be_an_integer_in_range(self, seed):
+        # numpy's Philox would take 1.5 (as 1) and "3" as keys
+        g = random_graph(np.random.default_rng(26), n=6)
+        for build in (sl.random_edge_sheaf, sl.random_node_sheaf):
+            with pytest.raises((TypeError, ValueError)):
+                build(g, 2, seed)
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 2**200])
     def test_seed_out_of_range(self, seed):
