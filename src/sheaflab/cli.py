@@ -123,7 +123,7 @@ def _emit_epochs(history: dict) -> None:
         _emit(dict(zip(EPOCH_KEYS, values)))
 
 
-def _train_one(ds, kind, cfg, split_index, built, emit_epochs=True):
+def _train_one(ds, kind, cfg, split_index, built, emit_epochs):
     try:
         _, history = train(ds, kind, cfg, split_index, built)
     except GuardError as exc:

@@ -102,7 +102,7 @@ def sheaf_laplacian(s: Sheaf, g: Graph) -> BlockLaplacian:
     _check_match(s, g)
     n, d = g.n, s.d
     diag = np.repeat(g.degrees.astype(np.float64)[:, None], d, axis=1)
-    off = -s.transports.copy()
+    off = -s.transports
     return BlockLaplacian(n=n, d=d, edges=s.edges.copy(), diag=diag, off=off)
 
 
@@ -193,8 +193,7 @@ def spectrum(lap: BlockLaplacian) -> np.ndarray:
     """Ascending eigenvalues via a dense symmetric solve, refused for nd > DENSE_EIG_LIMIT."""
     if lap.dim > DENSE_EIG_LIMIT:
         raise GuardError(f"dense eigensolver guard: nd={lap.dim} exceeds limit {DENSE_EIG_LIMIT}")
-    dense = lap.to_dense()
-    return np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    return np.linalg.eigvalsh(lap.to_dense())  # exactly symmetric: each value at both mirrors
 
 
 def write_laplacian_coo(lap: BlockLaplacian, path) -> None:

@@ -5,11 +5,12 @@ orthonormal tangent-space basis, a (p, d) array, from a local PCA of its
 neighbours' centred feature vectors, where the neighbourhood is the 1-hop
 set padded with feature-space nearest non-neighbours whenever it is smaller
 than the stalk dimension; nodes whose neighbourhoods have one length share
-one batched SVD and one sign fix (`_sign_canonical`, which also serves the
-per-node fallback), and `Sheaf.bases` stacks the bases into one (n, p, d)
-array. Second, each edge gets the orthogonal map that best aligns the two
-endpoint bases in Frobenius norm (the orthogonal Procrustes solution, the
-polar factor of the basis cross-Gram); all edges share one batched SVD.
+one batched SVD, the sign fix and the tie order run over the whole group,
+and only a node of rank < d is completed on its own. `Sheaf.bases` stacks
+the bases into one (n, p, d) array. Second, each edge gets the orthogonal
+map that best aligns the two endpoint bases in Frobenius norm (the
+orthogonal Procrustes solution, the polar factor of the basis cross-Gram);
+all edges share one batched SVD.
 
 Trivial and Haar-random bundles are provided as baselines. All
 constructions are deterministic functions of their inputs and seeds.
@@ -78,23 +79,6 @@ def _sign_canonical(cols: np.ndarray) -> np.ndarray:
     return cols * signs
 
 
-def _reorder_ties(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort columns inside tied singular-value groups lexicographically."""
-    if s.size < 2:
-        return u, s
-    tol = _TIE_TOL * max(1.0, float(s[0]))
-    order = list(range(s.size))
-    start = 0
-    while start < s.size:
-        stop = start + 1
-        while stop < s.size and s[stop - 1] - s[stop] <= tol:
-            stop += 1
-        if stop - start > 1:
-            order[start:stop] = sorted(order[start:stop], key=lambda k: tuple(u[:, k]))
-        start = stop
-    return u[:, order], s[order]
-
-
 def _complete_basis(cols: list[np.ndarray], p: int, d: int) -> list[np.ndarray]:
     """Extend orthonormal columns to d of them by Gram-Schmidt on e_1, e_2, ..."""
     for k in range(p):
@@ -110,41 +94,32 @@ def _complete_basis(cols: list[np.ndarray], p: int, d: int) -> list[np.ndarray]:
     return cols
 
 
-def _pca_basis(features: np.ndarray, centre: int, neighbours, d: int):
-    """Canonical top-d PCA basis at `centre`, and whether it was rank-completed; unchecked."""
-    xhat = (features[neighbours] - features[centre]).T  # (p, N)
-    p = xhat.shape[0]
-    u, s, _ = np.linalg.svd(xhat, full_matrices=False)
-    u = _sign_canonical(u)
-    u, s = _reorder_ties(u, s)
-    rank_tol = _RANK_TOL * max(1.0, float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > rank_tol))
-    cols = [u[:, k] for k in range(min(d, rank))]
-    completed = rank < d
-    if completed:
-        cols = _complete_basis(cols, p, d)
-    basis = _sign_canonical(np.column_stack(cols))
-    return basis, completed
-
-
 def _pca_bases(features: np.ndarray, centres: np.ndarray, neighbours: np.ndarray, d: int):
-    """`_pca_basis` for a group of nodes whose (G, N) neighbour lists share one length N.
+    """Canonical top-d PCA bases of a group of nodes whose (G, N) neighbour lists have one length.
 
-    One batched SVD covers the group, and the sign fix and the tie and rank
-    tests run over all of it. A node with tied singular values or rank < d
-    goes through the per-node `_pca_basis`; for every other node the top-d
-    sign-fixed columns are already the canonical basis, bitwise. Returns
-    the (G, p, d) bases and the (G,) rank-completed flags.
+    One batched SVD covers the group, and the gauge is fixed on all of it at
+    once: every left singular vector is sign-fixed, then the columns of each
+    tied run of singular values are sorted lexicographically (the identity
+    for a node without ties). A node of rank < d keeps its rank columns and
+    is completed by Gram-Schmidt. Returns the (G, p, d) bases and the (G,)
+    rank-completed flags.
     """
     xhat = np.swapaxes(features[neighbours] - features[centres][:, None, :], 1, 2)  # (G, p, N)
     u, s, _ = np.linalg.svd(xhat, full_matrices=False)
-    scale = np.maximum(1.0, s[:, 0])
-    tied = np.any(s[:, :-1] - s[:, 1:] <= (_TIE_TOL * scale)[:, None], axis=1)
-    completed = np.count_nonzero(s > (_RANK_TOL * scale)[:, None], axis=1) < d
-    bases = _sign_canonical(u[:, :, :d])
-    for k in np.flatnonzero(tied | completed):
-        bases[k], completed[k] = _pca_basis(features, centres[k], neighbours[k], d)
-    return bases, completed
+    u = _sign_canonical(u)
+    breaks = s[:, :-1] - s[:, 1:] > _TIE_TOL * np.maximum(1.0, s[:, :1])
+    group = np.cumsum(np.concatenate((np.ones_like(s[:, :1], bool), breaks), axis=1), axis=1)
+    # stable: by tied run, then as `sorted` orders tuple(u[:, k]), first row first
+    order = np.lexsort((*np.swapaxes(u[:, ::-1], 0, 1), group), axis=-1)
+    u = np.take_along_axis(u, order[:, None, :], axis=2)
+    s = np.take_along_axis(s, order, axis=1)
+    rank = np.count_nonzero(s > _RANK_TOL * np.maximum(1.0, s[:, :1]), axis=1)
+    bases = u[:, :, :d]
+    for k in np.flatnonzero(rank < d):
+        # contiguous columns: Gram-Schmidt's dot products round by memory layout
+        cols = _complete_basis(list(u[k, :, :rank[k]].T.copy()), u.shape[1], d)
+        bases[k] = _sign_canonical(np.column_stack(cols))
+    return bases, rank < d
 
 
 def neighbourhood_with_padding(g: Graph, d: int) -> tuple[np.ndarray, np.ndarray]:

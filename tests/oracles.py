@@ -25,13 +25,17 @@ independent of the vectorised package code it checks:
   per field and the line numbers kept in a list;
 - `loop_transports_from_bases` and `loop_node_sheaf_from_matrices`: one
   SVD or matrix product per edge;
+- `_pca_basis`: one node's canonical PCA basis from its own SVD, with the
+  tie order (`_reorder_ties`, a `sorted` per tied run in a `while` loop)
+  and the rank completion (`_complete_basis`, Gram-Schmidt on e_1, e_2,
+  ...) applied node by node, where the package's `_pca_bases` sorts a
+  whole group with one `np.lexsort`;
 - `loop_build_sheaf`: every sheaf kind with per-node bases (one
-  `_pca_basis` call per node, the package's fallback for degenerate
-  spectra), per-node padding (`loop_neighbourhood_with_padding`), a
-  per-node padding count and, per Haar draw, a numpy `np.random.Philox`
-  of the item's own, started at the item's first counter block
-  (`philox_item_words`), Box-Muller on that item alone
-  (`philox_item_normals`) and one QR;
+  `_pca_basis` call per node), per-node padding
+  (`loop_neighbourhood_with_padding`), a per-node padding count and, per
+  Haar draw, a numpy `np.random.Philox` of the item's own, started at the
+  item's first counter block (`philox_item_words`), Box-Muller on that
+  item alone (`philox_item_normals`) and one QR;
 - `all_pairs_synth_sbm`: the SBM sampler that draws all n(n-1)/2
   candidate pairs at once;
 - `loop_validate_split` and `loop_load_dataset`: the dataset reader with
@@ -55,12 +59,14 @@ from sheaflab.errors import DataError, GuardError
 from sheaflab.graph import Graph, from_edge_list
 from sheaflab.laplacian import BlockLaplacian, _check_match, apply
 from sheaflab.sheaf import (
+    _GS_TOL,
     _ORTHO_TOL,
     _RANK_TOL,
     _SINGULAR_TOL,
+    _TIE_TOL,
     BuildDiagnostics,
     Sheaf,
-    _pca_basis,
+    _sign_canonical,
     trivial_sheaf,
 )
 
@@ -380,6 +386,55 @@ def _loop_haar(d: int, seed: int, count: int) -> np.ndarray:
         signs[signs == 0] = 1.0
         out[k] = q * signs
     return out
+
+
+def _reorder_ties(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort columns inside tied singular-value groups lexicographically."""
+    if s.size < 2:
+        return u, s
+    tol = _TIE_TOL * max(1.0, float(s[0]))
+    order = list(range(s.size))
+    start = 0
+    while start < s.size:
+        stop = start + 1
+        while stop < s.size and s[stop - 1] - s[stop] <= tol:
+            stop += 1
+        if stop - start > 1:
+            order[start:stop] = sorted(order[start:stop], key=lambda k: tuple(u[:, k]))
+        start = stop
+    return u[:, order], s[order]
+
+
+def _complete_basis(cols: list[np.ndarray], p: int, d: int) -> list[np.ndarray]:
+    """Extend orthonormal columns to d of them by Gram-Schmidt on e_1, e_2, ..."""
+    for k in range(p):
+        if len(cols) == d:
+            break
+        cand = np.zeros(p)
+        cand[k] = 1.0
+        for c in cols:
+            cand = cand - (c @ cand) * c
+        nrm = float(np.linalg.norm(cand))
+        if nrm > _GS_TOL:
+            cols.append(cand / nrm)
+    return cols
+
+
+def _pca_basis(features: np.ndarray, centre: int, neighbours, d: int):
+    """Canonical top-d PCA basis at `centre`, and whether it was rank-completed; unchecked."""
+    xhat = (features[neighbours] - features[centre]).T  # (p, N)
+    p = xhat.shape[0]
+    u, s, _ = np.linalg.svd(xhat, full_matrices=False)
+    u = _sign_canonical(u)
+    u, s = _reorder_ties(u, s)
+    rank_tol = _RANK_TOL * max(1.0, float(s[0]) if s.size else 0.0)
+    rank = int(np.sum(s > rank_tol))
+    cols = [u[:, k] for k in range(min(d, rank))]
+    completed = rank < d
+    if completed:
+        cols = _complete_basis(cols, p, d)
+    basis = _sign_canonical(np.column_stack(cols))
+    return basis, completed
 
 
 def loop_build_sheaf(g: Graph, kind: str, d: int, seed: int) -> Sheaf:

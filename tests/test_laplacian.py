@@ -331,6 +331,18 @@ def test_to_dense_matches_loop_oracle(normalised):
         assert np.array_equal(lap.to_dense(), loop_to_dense(lap))
 
 
+def test_to_dense_is_exactly_symmetric():
+    # each off-diagonal value is written at both mirrored positions, so
+    # `spectrum` hands to_dense() to eigvalsh with no symmetrising pass
+    isolated = sl.from_edge_list(6, [(0, 1), (1, 2), (0, 4)], np.zeros((6, 2)))
+    random = random_graph(np.random.default_rng(6), n=30, edge_prob=0.2)
+    gcn = [gcn_propagation_matrix(g) for g in (random, isolated)]
+    for lap in [*oracle_gate_laplacians(), *gcn]:
+        for op in (lap,) if lap.normalised else (lap, sl.normalise(lap)):
+            dense = op.to_dense()
+            assert np.array_equal(dense, dense.T)
+
+
 @pytest.mark.parametrize("normalised", [False, True])
 def test_write_laplacian_coo_matches_loop_oracle(tmp_path, normalised):
     new, old = tmp_path / "new.coo", tmp_path / "old.coo"

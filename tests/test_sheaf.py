@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import sheaflab as sl
 from sheaflab.errors import DataError, GuardError
-from sheaflab.sheaf import _pca_bases
+from sheaflab.sheaf import _RANK_TOL, _TIE_TOL, _pca_bases
 from conftest import REPR_EDGE_VALUES, random_graph, random_orthonormal_basis
 from oracles import (
     loop_build_sheaf,
@@ -626,7 +626,8 @@ class TestPhiloxDraws:
 
 def test_pca_group_with_degenerate_nodes_matches_loop_oracle():
     # nodes 0 (tied), 5 (rank-deficient) and 10-14 (ordinary) all have four
-    # neighbours, so one batched SVD covers them; 0 and 5 take the per-node path
+    # neighbours, so one batched SVD covers them; the tie order swaps 0's
+    # columns and 5 is rank-completed inside that group
     rng = np.random.default_rng(23)
     feats = rng.standard_normal((15, 3))
     feats[0] = 0.0
@@ -649,6 +650,58 @@ def test_pca_group_with_degenerate_nodes_matches_loop_oracle():
     for i in (0, 5, 10):  # the same routine on a group of one
         basis = pca_basis(feats, i, one_hop_neighbourhood(g, i), 2)
         assert np.array_equal(basis, old.bases[i])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_discrete_feature_graphs_match_loop_oracle(d):
+    # binary and ternary features tie singular values and lower ranks often;
+    # the batched gauge must equal the per-node `_pca_basis` bitwise. Each
+    # graph also holds a star whose d + 1 leaves sit at e_0 .. e_d around a
+    # zero centre: one tied run across column d
+    rng = np.random.default_rng(40 + d)
+    tied = straddling = completed = 0
+    for values in ([0.0, 1.0], [-1.0, 0.0, 1.0]):
+        for _ in range(6):
+            shape = random_graph(rng, n=int(rng.integers(d + 2, 30)), edge_prob=0.15)
+            n = shape.n
+            feats = np.vstack([rng.choice(values, size=(n, 5)), np.zeros(5), np.eye(5)[:d + 1]])
+            star = [(n, n + 1 + k) for k in range(d + 1)]
+            g = sl.from_edge_list(n + d + 2, [*shape.edges.tolist(), *star], feats)
+            s = sl.build_connection_sheaf(g, d)
+            old = loop_build_sheaf(g, "connection", d, 0)
+            assert np.array_equal(s.bases, old.bases)
+            assert np.array_equal(s.transports, old.transports)
+            assert s.diagnostics == old.diagnostics
+            completed += s.diagnostics.rank_completed_bases
+            flat, starts = sl.neighbourhood_with_padding(g, d)
+            for i in range(g.n):
+                nbrs = flat[starts[i]:starts[i + 1]]
+                sv = np.linalg.svd((g.features[nbrs] - g.features[i]).T, compute_uv=False)
+                scale = max(1.0, sv[0])
+                tie = sv[:-1] - sv[1:] <= _TIE_TOL * scale  # tie[k]: columns k, k + 1
+                tie &= sv[1:] > _RANK_TOL * scale  # among nonzero singular values
+                tied += bool(tie.any())
+                straddling += bool(sv.size > d and tie[d - 1])  # column d - 1 with d
+    assert tied > 0 and straddling > 0 and completed > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 8])
+def test_connection_sheaf_is_flat_only_when_p_equals_d(p):
+    # at p = d every basis B_v is square orthogonal, so the Procrustes factor
+    # of B_v^T B_u is B_v^T B_u itself: the sheaf is a gauge transform of the
+    # trivial one and shares its spectrum. At p > d the alignment does work
+    g = sl.synth_sbm(200, 2, 0.01, 0.1, p, 2.0, seed=100).graph  # heterophilic
+    s = sl.build_connection_sheaf(g, 2)
+    us, vs = g.edges[:, 0], g.edges[:, 1]
+    flat = np.matmul(np.transpose(s.bases[vs], (0, 2, 1)), s.bases[us])
+    transport_gap = np.max(np.abs(s.transports - flat))
+    spectrum = sl.spectrum(sl.normalise(sl.sheaf_laplacian(s, g)))
+    trivial = sl.spectrum(sl.normalise(sl.sheaf_laplacian(sl.trivial_sheaf(g, 2), g)))
+    spectrum_gap = np.max(np.abs(spectrum - trivial))
+    if p == 2:
+        assert transport_gap <= 1e-12 and spectrum_gap <= 1e-12
+    else:
+        assert transport_gap > 0.5 and spectrum_gap > 0.1
 
 
 def _count_calls(monkeypatch, module, name):
