@@ -8,20 +8,21 @@ is deg(v) * I and the stored off-diagonal block is minus the u-to-v
 transport. Spectra fall back to a dense symmetric eigensolver behind a
 size guard.
 
-`apply` runs block-sparse through a slot plan that it builds on an
-operator's first call and caches on it. The plan numbers the nodes by
-descending degree (a stable sort) and ranks the 2m off-diagonal
-contributions inside their destination (each edge's (v, u) block in edge
-order, then the mirrored transposes). Slot k holds every node's k-th
-contribution, so its destinations are the positions [0, c_k) of the c_k
-nodes of degree > k. Slots smaller than `_MIN_SLOT` (a hub's long run) form
-one `np.add.at` tail. Every entry thus sums the same terms in the same order
-as a block-by-block loop, bitwise equal to it at width f >= 2 and at d = 1
-(up to the sign of a zero, as at an isolated node, whose diagonal is 0).
-The plan copies the blocks (mirrored ones transposed), so an operator must
-not be mutated after its first `apply`; at width 1 and d >= 2 numpy's
-matrix-vector product rounds differently for a mirrored block, by at most
-2d eps (|L| |x|) per entry.
+`apply` runs block-sparse through a row plan that it builds on an
+operator's first call and caches on it. The plan groups the nodes by degree
+and stores each node's block row [D_v | B_vu_1 | ... | B_vu_k] as one
+contiguous d x (k + 1) d matrix: the diagonal block, then its off-diagonal
+contributions in edge order (each edge's (v, u) block, then the mirrored
+transposes), beside the k + 1 source nodes. For each chunk of one degree
+group, `apply` gathers the sources into a reused buffer and runs one stacked
+matrix product, one BLAS call per node; a row longer than `_CHUNK` terms (a
+hub's) is split into parts summed in order. Each output entry of node v is
+thus one dot product of length (deg_v + 1) d, within (deg_v + 1) d eps
+(|L| |x|) of a block-by-block sum (eps the float64 machine epsilon, |L| and
+|x| entrywise), and exact where every product and sum is, as with integer
+values. Results are bitwise deterministic on one BLAS kernel at any thread
+count. The plan copies the blocks, so an operator must not be mutated after
+its first `apply`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .graph import Graph
 from .sheaf import Sheaf
 
 DENSE_EIG_LIMIT = 5000  # nd beyond this refuses the dense eigensolver
-_MIN_SLOT = 256  # slots with fewer contributions join the np.add.at tail
+_CHUNK = 2048  # terms per `apply` product: each of its two buffers holds <= _CHUNK d f floats
 
 
 @dataclass(eq=False)
@@ -54,7 +55,7 @@ class BlockLaplacian:
     diag: np.ndarray        # (n, d): the diagonal blocks' diagonals
     off: np.ndarray         # (m, d, d)
     normalised: bool = False
-    _plan: tuple | None = field(default=None, init=False, repr=False)  # see _slot_plan
+    _plan: list | None = field(default=None, init=False, repr=False)  # see _row_plan
 
     @property
     def dim(self) -> int:
@@ -125,59 +126,70 @@ def normalise(lap: BlockLaplacian) -> BlockLaplacian:
     )
 
 
-def _slot_plan(lap: BlockLaplacian) -> tuple:
-    """(perm, pos, diag, sizes, blocks, src, tail_dst): the nodes by degree, their positions,
-    the (n, d, 1) diagonals in `perm` order, the slot sizes, every contribution's block and
-    source node in slot-major order (slots sorted by position, then the tail), and the
-    tail's destination positions.
+def _row_plan(lap: BlockLaplacian) -> list:
+    """The chunks of `apply`, one (rows, src, nodes, first) per stacked product.
+
+    `rows` stacks the block rows [D_v | B_vu_1 | ... | B_vu_k] of the c nodes `nodes`,
+    all of one degree k, as a (c, d, (k + 1) d) array; `src` holds their c (k + 1)
+    source nodes, row by row. A chunk holds at most `_CHUNK` terms: a longer row (a
+    hub's) is split into parts of `_CHUNK` terms, one chunk each and in order, and
+    `first` is False for every part after the first.
     """
-    m = lap.num_edges
-    deg = np.bincount(lap.edges.ravel(), minlength=lap.n)
-    perm = np.argsort(-deg, kind="stable")
-    pos = np.argsort(perm)
-    dst = pos[np.concatenate([lap.edges[:, 1], lap.edges[:, 0]])]
-    order = np.argsort(dst, kind="stable")  # by destination, then pass and edge
-    dst = dst[order]
-    rank = np.arange(2 * m) - (np.cumsum(deg[perm]) - deg[perm])[dst]
-    sizes = np.bincount(rank)  # non-increasing: slot k holds the c_k nodes of degree > k
-    slot_of = np.empty_like(order)
-    slot_of[order] = (np.cumsum(sizes) - sizes)[rank] + dst
-    del order, dst, rank
-    blocks = np.empty((2 * m, lap.d, lap.d))
-    blocks[slot_of[:m]] = lap.off
-    blocks[slot_of[m:]] = np.transpose(lap.off, (0, 2, 1))
-    src = np.empty_like(slot_of)
-    src[slot_of] = lap.edges.T.ravel()
-    slots, tail = sizes[sizes >= _MIN_SLOT], sizes[sizes < _MIN_SLOT]
-    tail_dst = np.arange(tail.sum()) - np.repeat(np.cumsum(tail) - tail, tail)
-    return perm, pos, lap.diag[perm, :, None], slots.tolist(), blocks, src, tail_dst
+    n, d = lap.n, lap.d
+    deg = np.bincount(lap.edges.ravel(), minlength=n)
+    dst = np.concatenate([np.arange(n), lap.edges[:, 1], lap.edges[:, 0]])
+    # the terms by degree and node, then diagonal, pass and edge: rows grouped by degree
+    order = np.argsort(deg[dst] * n + dst, kind="stable")
+    del dst
+    src = np.concatenate([np.arange(n), lap.edges[:, 0], lap.edges[:, 1]])[order]
+    blocks = np.concatenate([
+        lap.diag[:, :, None] * np.eye(d), lap.off, np.transpose(lap.off, (0, 2, 1))
+    ])
+    plan, lo = [], 0
+    counts = np.bincount(deg)  # counts[k]: the nodes of degree k
+    for k in np.flatnonzero(counts).tolist():
+        c, t = int(counts[k]), k + 1
+        hi = lo + c * t
+        rows = blocks[order[lo:hi]].reshape(c, t, d, d).transpose(0, 2, 1, 3).reshape(c, d, t * d)
+        nodes = src[lo:hi:t]  # a row's first term is its node's diagonal block
+        step = max(1, _CHUNK // t)
+        for a in range(0, c, step):
+            size = min(step, c - a)
+            for part in range(0, t, _CHUNK):  # one part unless t > _CHUNK, and then size = 1
+                width = min(_CHUNK, t - part)
+                start = lo + a * t + part
+                plan.append((
+                    rows[a:a + size, :, part * d:(part + width) * d],
+                    src[start:start + size * width],
+                    nodes[a:a + size],
+                    part == 0,
+                ))
+        lo = hi
+    return plan
 
 
 def apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
-    """Block-sparse product L x, x of shape (nd,) or (nd, f), run through the slot plan."""
+    """Block-sparse product L x, x of shape (nd,) or (nd, f), run through the row plan."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != lap.dim:
         raise ValueError(f"row count {x.shape[0]} does not match nd={lap.dim}")
     vec = x.ndim == 1
     xb = (x[:, None] if vec else x).reshape(lap.n, lap.d, -1)
     if lap._plan is None:
-        lap._plan = _slot_plan(lap)
-    perm, pos, diag, sizes, blocks, src, tail_dst = lap._plan
-    out = diag * xb[perm]
-    lo = 0
-    gathered, product = np.empty((2, sizes[0] if sizes else 0) + xb.shape[1:])
-    for size in sizes:
-        hi = lo + size
+        lap._plan = _row_plan(lap)
+    out = np.empty(xb.shape)
+    gathered = np.empty((min(_CHUNK, lap.n + 2 * lap.num_edges),) + xb.shape[1:])
+    product = np.empty((min(_CHUNK, lap.n),) + xb.shape[1:])
+    for rows, src, nodes, first in lap._plan:
+        c = rows.shape[0]
         # every index is valid; "clip" fills the buffer in place, "raise" would copy it
-        np.take(xb, src[lo:hi], axis=0, out=gathered[:size], mode="clip")
-        out[:size] += np.matmul(blocks[lo:hi], gathered[:size], out=product[:size])
-        lo = hi
-    del gathered, product  # before the tail's and the reordering's temporaries
-    k = lap.d * xb.shape[2]
-    idx = np.multiply(tail_dst[:, None], k, out=np.empty((tail_dst.size, k), dtype=np.intp))
-    idx += np.arange(k)
-    np.add.at(out.reshape(-1), idx.ravel(), np.matmul(blocks[lo:], xb[src[lo:]]).reshape(-1))
-    out = out[pos].reshape(lap.dim, -1)
+        terms = np.take(xb, src, axis=0, out=gathered[:src.size], mode="clip")
+        rows_x = np.matmul(rows, terms.reshape(c, -1, xb.shape[2]), out=product[:c])
+        if first:
+            out[nodes] = rows_x
+        else:  # a later part of a hub's row
+            out[nodes] += rows_x
+    out = out.reshape(lap.dim, -1)
     return out[:, 0] if vec else out
 
 

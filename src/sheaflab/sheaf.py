@@ -189,7 +189,8 @@ def build_connection_sheaf(g: Graph, d: int) -> Sheaf:
     sizes = np.diff(starts)
     bases = np.empty((g.n, p, d), dtype=np.float64)
     completed = 0
-    for size in np.unique(sizes):  # one batched SVD per neighbourhood length
+    # one batched SVD per neighbourhood length; np.unique here would import numpy.ma
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
         ids = np.flatnonzero(sizes == size)
         nbrs = flat[starts[ids, None] + np.arange(size)]
         bases[ids], flags = _pca_bases(g.features, ids, nbrs, d)

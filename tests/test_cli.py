@@ -634,3 +634,33 @@ class TestExitCodes:
 
     def test_missing_subcommand_usage(self, capsys):
         assert main([]) == 1
+
+
+_NO_MASKED_ARRAYS = """
+import os, sys
+from sheaflab.cli import main
+from sheaflab.model import BASELINE_KINDS, SHEAF_KINDS
+
+dataset, out, cfg = sys.argv[1:]
+for kind in SHEAF_KINDS:
+    assert main(["build-sheaf", "--dataset", dataset, "--kind", kind, "--out", out]) == 0
+for kind in SHEAF_KINDS + BASELINE_KINDS:
+    assert main(["train", "--dataset", dataset, "--kind", kind, "--config", cfg]) == 0
+print("numpy.ma" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_commands_do_not_import_numpy_ma(dataset_dir, tmp_path):
+    # plain np.unique imports numpy.ma on numpy 2.4: milliseconds and a megabyte of
+    # peak RSS that a fresh interpreter pays inside every timed build
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": 1}')
+    package_root = str(Path(sl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS, dataset_dir, str(tmp_path / "s.csv"), str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"

@@ -76,6 +76,27 @@ def test_thread_count_leaves_sheaves_and_weights_bitwise_equal():
     assert one == two
 
 
+_HUB_RUN = """
+import hashlib
+import numpy as np
+import sheaflab as sl
+from sheaflab.model import build_sheaf_by_kind
+
+n = 2 * sl.laplacian._CHUNK + 101  # the hub's row splits into three parts
+g = sl.from_edge_list(n, [(0, v) for v in range(1, n)], np.zeros((n, 2)))
+x = np.random.default_rng(0).standard_normal((2 * n, 8))
+lap = sl.normalise(sl.sheaf_laplacian(build_sheaf_by_kind(g, "rand-edge", 2, seed=2), g))
+for _ in range(2):  # the first call builds the plan, the second runs it cached
+    print(hashlib.sha256(sl.apply(lap, x).tobytes()).hexdigest())
+"""
+
+
+def test_thread_count_leaves_hub_apply_bitwise_equal():
+    one, two = _run(_HUB_RUN, threads=1).split(), _run(_HUB_RUN, threads=2).split()
+    assert len(one) == 2
+    assert one == two
+
+
 def _openblas_on_x86() -> bool:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

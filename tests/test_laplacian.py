@@ -382,19 +382,18 @@ def test_write_laplacian_coo_edge_values_match_loop_oracle(
     assert all(repr(v).encode() in new.read_bytes() for v in values[1:])
 
 
-def width_one_bound(op, x):
-    """2d eps (|L| |x|) entrywise: the laplacian module's width-1 tolerance for d >= 2."""
+def apply_bound(op, x):
+    """(deg_v + 1) d eps (|L| |x|) entrywise: the laplacian module's tolerance for `apply`."""
     abs_op = sl.BlockLaplacian(op.n, op.d, op.edges, np.abs(op.diag), np.abs(op.off))
-    return 2 * op.d * np.finfo(np.float64).eps * addat_apply(abs_op, np.abs(x))
+    terms = np.repeat(np.bincount(op.edges.ravel(), minlength=op.n) + 1, op.d)
+    terms = terms if x.ndim == 1 else terms[:, None]
+    return terms * op.d * np.finfo(np.float64).eps * addat_apply(abs_op, np.abs(x))
 
 
 def assert_matches_addat(op, x):
-    # bitwise at f >= 2 and at d = 1; a width-1 input at d >= 2 within its stated tolerance
     got, want = sl.apply(op, x), addat_apply(op, x)
-    if op.d == 1 or (x.ndim == 2 and x.shape[1] >= 2):
-        assert np.array_equal(got, want)
-    else:
-        assert np.all(np.abs(got - want) <= width_one_bound(op, x))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= apply_bound(op, x))
 
 
 @pytest.mark.parametrize("normalised", [False, True])
@@ -412,8 +411,7 @@ def test_apply_gcn_operator_matches_addat_oracle():
     for g in (random_graph(rng, n=30, edge_prob=0.2), isolated):
         prop = gcn_propagation_matrix(g)
         for f in (2, 4, 32):
-            x = rng.standard_normal((prop.dim, f))
-            assert np.array_equal(sl.apply(prop, x), addat_apply(prop, x))
+            assert_matches_addat(prop, rng.standard_normal((prop.dim, f)))
 
 
 def star_laplacians():
@@ -430,17 +428,57 @@ def star_laplacians():
             yield sl.sheaf_laplacian(build_sheaf_by_kind(g, "rand-edge", d, seed=d), g)
 
 
-@pytest.mark.parametrize("min_slot", [1, 4, None], ids=["slots-only", "slots-and-tail", "default"])
-def test_apply_slot_plan_matches_addat_oracle(monkeypatch, min_slot):
-    # _MIN_SLOT = 1 puts every contribution in a slot; 4 sends the small slots of the gate
-    # graphs to the np.add.at tail; the default sends everything but the large slots there
-    if min_slot is not None:
-        monkeypatch.setattr(sl.laplacian, "_MIN_SLOT", min_slot)
+def long_hub_laplacians():
+    """A star whose hub row, 2 _CHUNK + 101 terms, splits into three parts (d = 1, 2, 3)."""
+    n = 2 * sl.laplacian._CHUNK + 101
+    g = sl.from_edge_list(n, [(0, v) for v in range(1, n)], np.zeros((n, 2)))
+    for d in (1, 2, 3):
+        yield sl.normalise(sl.sheaf_laplacian(build_sheaf_by_kind(g, "rand-edge", d, seed=d), g))
+
+
+@pytest.mark.parametrize("chunk", [1, 4, None], ids=["every-row-split", "hubs-split", "default"])
+def test_apply_row_plan_matches_addat_oracle(monkeypatch, chunk):
+    # _CHUNK = 1 runs every row through the split path one term at a time; 4 splits
+    # every row of degree >= 4 and packs the short ones a few nodes per product
+    if chunk is not None:
+        monkeypatch.setattr(sl.laplacian, "_CHUNK", chunk)
     rng = np.random.default_rng(9)
-    for lap in (*oracle_gate_laplacians(), *star_laplacians()):
+    stars = star_laplacians() if chunk != 1 else ()  # 4 splits their hubs; 1 would be slow
+    for lap in (*oracle_gate_laplacians(), *stars):
         for op in (lap, sl.normalise(lap)):
             for shape in ((op.dim,), (op.dim, 1), (op.dim, 3), (op.dim, 8)):
                 assert_matches_addat(op, rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("f", [1, 8, 32])
+def test_apply_hub_row_longer_than_a_chunk_matches_addat_oracle(f):
+    rng = np.random.default_rng(11)
+    for op in long_hub_laplacians():
+        assert max(len(src) for _, src, _, _ in sl.laplacian._row_plan(op)) == sl.laplacian._CHUNK
+        assert_matches_addat(op, rng.standard_normal((op.dim, f)))
+
+
+def integer_valued(lap, rng):
+    """`lap`'s pattern with integer blocks in [-4, 4]: every product and sum is exact."""
+    diag = rng.integers(-4, 5, lap.diag.shape).astype(np.float64)
+    off = rng.integers(-4, 5, lap.off.shape).astype(np.float64)
+    return sl.BlockLaplacian(lap.n, lap.d, lap.edges, diag, off)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, None], ids=["every-row-split", "hubs-split", "default"])
+def test_apply_is_exact_on_integer_values(monkeypatch, chunk):
+    # exact arithmetic leaves no rounding to differ in: a wrong source, block or
+    # transpose shows bitwise, whatever order either side sums in
+    if chunk is not None:
+        monkeypatch.setattr(sl.laplacian, "_CHUNK", chunk)
+    rng = np.random.default_rng(12)
+    stars = star_laplacians() if chunk != 1 else ()
+    hubs = long_hub_laplacians() if chunk is None else ()
+    for lap in (*oracle_gate_laplacians(), *stars, *hubs):
+        op = integer_valued(lap, rng)
+        for shape in ((op.dim,), (op.dim, 1), (op.dim, 3), (op.dim, 8)):
+            x = rng.integers(-8, 9, shape).astype(np.float64)
+            assert np.array_equal(sl.apply(op, x), addat_apply(op, x))
 
 
 def contributions(lap):
@@ -453,49 +491,42 @@ def contributions(lap):
     return terms
 
 
-def test_slot_plan_structure(monkeypatch):
-    stars = list(star_laplacians())
-    for min_slot in (1, 4, sl.laplacian._MIN_SLOT):  # slots only, slots and tail, the default
-        monkeypatch.setattr(sl.laplacian, "_MIN_SLOT", min_slot)
-        for lap in (*oracle_gate_laplacians(), *stars):
-            check_slot_plan(lap, min_slot)
-        for lap in stars if min_slot > 1 else ():  # the hub's long run is in the tail
-            *_, sizes, _, _, tail_dst = sl.laplacian._slot_plan(lap)
-            deg = np.sort(np.bincount(lap.edges.ravel()))[::-1]
-            assert len(sizes) == deg[min_slot - 1]  # c_k >= min_slot iff k < that degree
-            assert np.count_nonzero(tail_dst == 0) == deg[0] - len(sizes) > 1000
+@pytest.mark.parametrize("chunk", [1, 4, None], ids=["every-row-split", "hubs-split", "default"])
+def test_row_plan_structure(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(sl.laplacian, "_CHUNK", chunk)
+    hubs = long_hub_laplacians() if chunk is None else ()
+    for lap in (*oracle_gate_laplacians(), *star_laplacians(), *hubs):
+        check_row_plan(lap)
 
 
-def check_slot_plan(lap, min_slot):
-    perm, pos, diag, sizes, blocks, src, tail_dst = sl.laplacian._slot_plan(lap)
+def check_row_plan(lap):
+    d, cap = lap.d, sl.laplacian._CHUNK
+    rows, srcs = [[] for _ in range(lap.n)], [[] for _ in range(lap.n)]
+    for block_rows, src, nodes, first in sl.laplacian._row_plan(lap):
+        c, _, width = block_rows.shape
+        assert block_rows.shape[1] == d and width % d == 0 and src.size == c * (width // d)
+        assert src.size <= cap and nodes.size == c and (first or c == 1)
+        for v, row, terms in zip(nodes, block_rows, src.reshape(c, -1)):
+            assert first == (not rows[v])  # a node's first part writes, its later parts add
+            rows[v].append(row)
+            srcs[v].extend(terms.tolist())
     deg = np.bincount(lap.edges.ravel(), minlength=lap.n)
-    assert np.array_equal(perm, np.argsort(-deg, kind="stable"))  # stable descending sort
-    assert np.array_equal(pos[perm], np.arange(lap.n))
-    assert np.array_equal(diag, lap.diag[perm, :, None])
-    assert blocks.flags.c_contiguous and blocks.shape == (2 * lap.num_edges, lap.d, lap.d)
-    assert all(size >= min_slot for size in sizes) and sizes == sorted(sizes, reverse=True)
-    assert sum(sizes) + tail_dst.size == 2 * lap.num_edges
-    # slot k's destinations are the positions [0, c_k), c_k the nodes of degree > k;
-    # the tail restarts at position 0 for each of its slots
-    starts = np.flatnonzero(tail_dst == 0)
-    tail_sizes = np.diff(np.append(starts, tail_dst.size))
-    c = np.bincount(np.arange(2 * lap.num_edges) - np.repeat(np.cumsum(deg) - deg, deg))
-    assert np.array_equal(np.concatenate([sizes, tail_sizes]).astype(int), c)
-    ranks = np.repeat(np.arange(c.size), c)
-    dests = np.concatenate([np.arange(size) for size in c] or [np.zeros(0, int)])
-    assert np.array_equal(dests[sum(sizes):], tail_dst)
     terms = contributions(lap)
-    for item, (k, p) in enumerate(zip(ranks, dests)):
-        block, source = terms[perm[p]][k]
-        assert np.array_equal(blocks[item], block) and src[item] == source
+    for v in range(lap.n):
+        # one part per cap terms, in order: [D_v | B_vu_1 | ... | B_vu_k] and [v, u_1, ..., u_k]
+        assert len(rows[v]) == -(-(deg[v] + 1) // cap)
+        want = [np.diag(lap.diag[v])] + [block for block, _ in terms[v]]
+        assert np.array_equal(np.concatenate(rows[v], axis=1), np.concatenate(want, axis=1))
+        assert srcs[v] == [v] + [u for _, u in terms[v]]
 
 
-def test_slot_plan_is_built_on_first_apply_and_cached(monkeypatch):
+def test_row_plan_is_built_on_first_apply_and_cached(monkeypatch):
     g = random_graph(np.random.default_rng(10), n=30, edge_prob=0.2)
     lap = sl.sheaf_laplacian(sl.trivial_sheaf(g, 2), g)
     built = []
-    original = sl.laplacian._slot_plan
-    monkeypatch.setattr(sl.laplacian, "_slot_plan", lambda op: built.append(op) or original(op))
+    original = sl.laplacian._row_plan
+    monkeypatch.setattr(sl.laplacian, "_row_plan", lambda op: built.append(op) or original(op))
     assert lap._plan is None
     x = np.ones(lap.dim)
     sl.apply(lap, x)
@@ -521,6 +552,20 @@ def test_apply_memory_peak_within_oracle():
     for op, f in ((lap, 8), (gcn_propagation_matrix(g), 32)):
         x = rng.standard_normal((op.dim, f))
         assert _apply_peak(sl.apply, op, x) <= 1.05 * _apply_peak(addat_apply, op, x)
+
+
+def test_apply_memory_peak_within_output_and_chunk_buffers():
+    # the output, the gather buffer of _CHUNK (d, f) terms and the product buffer of
+    # at most _CHUNK nodes; the slack covers numpy's small temporaries and views
+    g = sl.synth_sbm(4000, 2, 14.4 / 4000, 3.6 / 4000, 4, 2.0, seed=1).graph
+    lap = sl.normalise(sl.sheaf_laplacian(sl.build_connection_sheaf(g, 2), g))
+    rng = np.random.default_rng(0)
+    cases = [(lap, 8), (lap, 1), (gcn_propagation_matrix(g), 32)]
+    for op, f in cases + [(hub, 8) for hub in long_hub_laplacians()]:
+        x = rng.standard_normal((op.dim, f))
+        sl.apply(op, x)  # the plan is built once, outside the measured call
+        buffers = 2 * sl.laplacian._CHUNK * op.d * f * 8
+        assert _apply_peak(sl.apply, op, x) <= op.dim * f * 8 + buffers + 16_384
 
 
 def test_write_laplacian_coo_memory_peak(tmp_path):

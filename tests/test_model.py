@@ -554,14 +554,14 @@ class TestTrain:
         assert counts == {"forward": forwards, "apply": applies}
 
     @pytest.mark.parametrize("kind", ["connection", "gcn"])
-    def test_one_slot_plan_per_train(self, monkeypatch, kind):
-        built, original = [], sl.laplacian._slot_plan
+    def test_one_row_plan_per_train(self, monkeypatch, kind):
+        built, original = [], sl.laplacian._row_plan
 
         def counted(op):
             built.append(op)
             return original(op)
 
-        monkeypatch.setattr(sl.laplacian, "_slot_plan", counted)
+        monkeypatch.setattr(sl.laplacian, "_row_plan", counted)
         train(self._dataset(5), kind, TrainConfig(epochs=5, patience=0, seed=0), 0)
         assert len(built) == 1
 
