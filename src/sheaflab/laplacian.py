@@ -194,11 +194,11 @@ def apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
 
 
 def dirichlet_energy(lap: BlockLaplacian, x: np.ndarray) -> float:
-    """x^T L x, the squared coboundary norm for the unnormalised Laplacian."""
+    """trace(x^T L x) = sum(x * L x) for an (nd,) or (nd, f) x; |delta x|^2 if unnormalised."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != lap.dim:
-        raise ValueError(f"expected a vector of length nd={lap.dim}")
-    return float(x @ apply(lap, x))
+    if x.ndim not in (1, 2) or x.shape[0] != lap.dim:
+        raise ValueError(f"expected an (nd,) or (nd, f) array with nd={lap.dim}")
+    return float(x.reshape(-1) @ apply(lap, x).reshape(-1))  # a strided vector stays a view
 
 
 def spectrum(lap: BlockLaplacian) -> np.ndarray:

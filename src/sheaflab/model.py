@@ -7,9 +7,12 @@ runs T diffusion layers
 
 against a precomputed (constant) sheaf Laplacian L, then reads class logits
 out of the flattened stalk state with a linear decoder. `forward`'s loop is
-the one implementation of that layer. Because L never changes during
-training, backpropagation only has to traverse the weights; the layer
-adjoint reuses L itself through its symmetry.
+the one implementation of that layer. On a node's row-major d x f block,
+vec(W1 X_v W2) = (W1 kron W2^T) vec(X_v): with K = kron(W1, W2^T) a layer's
+channel work is one (n, df) @ (df, df) product M = X K^T. Backward views
+dK = dM^T X as (d, f, d, f) entries [i, a, j, b]: dW1[i, j] = sum dK W2[b, a]
+and dW2[b, a] = sum dK W1[i, j]. L never changes during training, so
+backpropagation only traverses the weights; its adjoint reuses L (symmetry).
 
 `build_operator` builds any kind's fixed operator once. Every model keeps
 its weights in a flat list `arrays`, with `forward(features) -> (logits,
@@ -98,9 +101,9 @@ class ForwardCache:
     """Per-layer tensors retained for the backward pass."""
 
     features: np.ndarray
-    xs: list[np.ndarray] = field(default_factory=list)     # T+1 states, (n, d, f)
-    lins: list[np.ndarray] = field(default_factory=list)   # (I kron W1) X_t, per layer
+    xs: list[np.ndarray] = field(default_factory=list)     # T+1 states, (nd, f)
     pres: list[np.ndarray] = field(default_factory=list)   # pre-activations, per layer
+    krons: dict[int, np.ndarray] = field(default_factory=dict)  # kron(W1, W2^T) by W1 index
     z_out: np.ndarray | None = None                        # (n, d*f) decoder input
 
 
@@ -136,7 +139,7 @@ def encode(features: np.ndarray, w_in: np.ndarray, d: int) -> np.ndarray:
 
 
 def forward(model: DiffusionModel, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Logits (n, C) plus the cache needed for backward()."""
+    """Logits (n, C) plus the cache for backward(); each pair's K is built once per call."""
     lap, ws = model.lap, model.arrays
     n = features.shape[0]
     d = ws[1].shape[0]
@@ -144,13 +147,12 @@ def forward(model: DiffusionModel, features: np.ndarray) -> tuple[np.ndarray, Fo
         raise ValueError("Laplacian shape does not match features/weights")
     x = encode(features, ws[0], d)
     cache = ForwardCache(features=features)
+    cache.krons = {k: np.kron(ws[k], ws[k + 1].T) for k in range(1, len(ws) - 1, 2)}
     cache.xs.append(x)
     for t in range(model.steps):
-        k = model.pair_index(t)
-        lin = np.matmul(ws[k], x.reshape(n, d, -1))       # (I kron W1) X, per-node blocks
-        pre = apply(lap, lin.reshape(x.shape) @ ws[k + 1])  # one (nd, f) product
+        kron = cache.krons[model.pair_index(t)]
+        pre = apply(lap, (x.reshape(n, -1) @ kron.T).reshape(x.shape))
         x = x - _act(pre, model.activation)
-        cache.lins.append(lin)
         cache.pres.append(pre)
         cache.xs.append(x)
     cache.z_out = x.reshape(n, -1)
@@ -193,29 +195,27 @@ def backward(
 ) -> list[np.ndarray]:
     """Exact gradients of every weight, in `model.arrays` order.
 
-    The Laplacian is a constant: the layer adjoint applies L itself in place
-    of L^T (symmetry), and the relu adjoint uses the cached pre-activation
-    signs.
+    Per layer, dM = L d_pre as (n, df) (L^T = L) gives dK = dM^T X_t, one (df, n) @
+    (n, df) product, which contracts into dW1 and dW2; dM K is the state's gradient.
     """
     if len(cache.pres) != model.steps or cache.z_out is None:
         raise ValueError("stale or incomplete forward cache")
     ws = model.arrays
     n = cache.features.shape[0]
-    d = ws[1].shape[0]
+    d, f = ws[1].shape[0], ws[2].shape[0]
 
     grads = [np.zeros_like(w) for w in ws]  # tied steps accumulate into one pair
     grads[-1] = logits_grad.T @ cache.z_out
-    g = (logits_grad @ ws[-1]).reshape(n * d, -1)
+    g = (logits_grad @ ws[-1]).reshape(n * d, f)
 
     for t in reversed(range(model.steps)):
         k = model.pair_index(t)
         d_pre = -g * _act_grad(cache.pres[t], model.activation)
-        d_mid = apply(model.lap, d_pre)                   # L^T = L
-        grads[k + 1] += cache.lins[t].reshape(n * d, -1).T @ d_mid
-        d_lin = (d_mid @ ws[k + 1].T).reshape(n, d, -1)  # one (nd, f) product
-        xb = cache.xs[t].reshape(n, d, -1)
-        grads[k] += np.tensordot(d_lin, xb, axes=([0, 2], [0, 2]))  # one (d, nf) @ (nf, d)
-        g = g + np.matmul(ws[k].T, d_lin).reshape(n * d, -1)
+        d_mid = apply(model.lap, d_pre).reshape(n, -1)
+        dk = (d_mid.T @ cache.xs[t].reshape(n, -1)).reshape(d, f, d, f)
+        grads[k] += np.einsum("iajb,ba->ij", dk, ws[k + 1])
+        grads[k + 1] += np.einsum("iajb,ij->ba", dk, ws[k])
+        g = g + (d_mid @ cache.krons[k]).reshape(n * d, f)
 
     grads[0] = g.reshape(n, -1).T @ cache.features
     return grads

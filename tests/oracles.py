@@ -18,8 +18,9 @@ independent of the vectorised package code it checks:
   blocks per pass;
 - `euler_diffusion`: explicit unit-step Euler diffusion (I - L)^steps x0,
   which as many identity-weight diffusion layers reproduce (criterion 09);
-- `sheaf_layer`: one diffusion layer X - act(L (I kron W1) X W2), the same
-  operations in the same order as `model.forward`'s loop;
+- `sheaf_layer`: one diffusion layer X - act(L (I kron W1) X W2) with one
+  stacked W1 product per node and one W2 product, where `model.forward`
+  multiplies by kron(W1, W2^T) once;
 - `loop_write_sheaf_csv`: the per-edge version of `write_sheaf_csv`;
 - `loop_read_sheaf_csv`: the sheaf CSV reader with one `int()` or `float()`
   per field and the line numbers kept in a list;

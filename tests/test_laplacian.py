@@ -210,6 +210,24 @@ class TestDirichletEnergy:
         assert energy == pytest.approx(float(dx @ dx), abs=1e-10)
         assert energy >= -1e-12
 
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("normalised", [False, True])
+    def test_state_matrix_equals_dense_trace(self, seed, normalised):
+        g, s = random_instance(seed)
+        lap = sl.sheaf_laplacian(s, g)
+        lap = sl.normalise(lap) if normalised else lap
+        x = np.random.default_rng(seed).standard_normal((lap.dim, 3))
+        expected = np.trace(x.T @ lap.to_dense() @ x)
+        assert abs(sl.dirichlet_energy(lap, x) - expected) <= 1e-12 * abs(expected)
+        v = x[:, 0]  # a vector's energy is still the one dot product x . L x, bitwise
+        assert sl.dirichlet_energy(lap, v) == float(v @ sl.apply(lap, v))
+
+    @pytest.mark.parametrize("shape", [(4,), (6, 2, 1)])
+    def test_rejects_other_shapes(self, shape):
+        g, s = path2(d=3)
+        with pytest.raises(ValueError, match=r"\(nd,\) or \(nd, f\)"):
+            sl.dirichlet_energy(sl.sheaf_laplacian(s, g), np.ones(shape))
+
 
 class TestSpectrum:
     def test_path_normalised(self):
