@@ -51,9 +51,16 @@ def _validate_split(split: Split, n: int) -> None:
 
 
 def _trainable_split(ds: Dataset, index: int) -> Split:
-    """Split `index`; ValueError if out of range, DataError if training would find a part empty."""
+    """Split `index`; ValueError if out of range, DataError if a part is empty or a label too big.
+
+    n nodes use at most n class ids, so a label of n or more is refused before
+    any build, and before a decoder of that many classes is allocated.
+    """
     if not 0 <= index < len(ds.splits):
         raise ValueError(f"split out of range: {index} (dataset has {len(ds.splits)})")
+    labels, n = ds.graph.labels, ds.graph.n
+    if labels is not None and labels.max(initial=-1) >= n:
+        raise DataError(f"label {labels.max()} is not below the node count {n}")
     for part, ids in vars(ds.splits[index]).items():
         if not ids.size:
             raise DataError(f"split {index} has no {part} nodes")

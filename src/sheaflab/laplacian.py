@@ -15,14 +15,14 @@ contiguous d x (k + 1) d matrix: the diagonal block, then its off-diagonal
 contributions in edge order (each edge's (v, u) block, then the mirrored
 transposes), beside the k + 1 source nodes. For each chunk of one degree
 group, `apply` gathers the sources into a reused buffer and runs one stacked
-matrix product, one BLAS call per node; a row longer than `_CHUNK` terms (a
-hub's) is split into parts summed in order. Each output entry of node v is
-thus one dot product of length (deg_v + 1) d, within (deg_v + 1) d eps
-(|L| |x|) of a block-by-block sum (eps the float64 machine epsilon, |L| and
-|x| entrywise), and exact where every product and sum is, as with integer
-values. Results are bitwise deterministic on one BLAS kernel at any thread
-count. The plan copies the blocks, so an operator must not be mutated after
-its first `apply`.
+matrix product, one BLAS call per node, and writes each of its nodes once;
+a row longer than `_CHUNK` terms (a hub's) is a chunk of its own. Each
+output entry of node v is thus one dot product of length (deg_v + 1) d,
+within (deg_v + 1) d eps (|L| |x|) of a block-by-block sum (eps the float64
+machine epsilon, |L| and |x| entrywise), and exact where every product and
+sum is, as with integer values. Results are bitwise deterministic on one
+BLAS kernel at any thread count. The plan copies the blocks, so an operator
+must not be mutated after its first `apply`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .graph import Graph
 from .sheaf import Sheaf
 
 DENSE_EIG_LIMIT = 5000  # nd beyond this refuses the dense eigensolver
-_CHUNK = 2048  # terms per `apply` product: each of its two buffers holds <= _CHUNK d f floats
+_CHUNK = 2048  # terms per `apply` product of short rows; a longer row is a product of its own
 
 
 @dataclass(eq=False)
@@ -127,13 +127,12 @@ def normalise(lap: BlockLaplacian) -> BlockLaplacian:
 
 
 def _row_plan(lap: BlockLaplacian) -> list:
-    """The chunks of `apply`, one (rows, src, nodes, first) per stacked product.
+    """The chunks of `apply`, one (rows, src, nodes) per stacked product.
 
     `rows` stacks the block rows [D_v | B_vu_1 | ... | B_vu_k] of the c nodes `nodes`,
     all of one degree k, as a (c, d, (k + 1) d) array; `src` holds their c (k + 1)
-    source nodes, row by row. A chunk holds at most `_CHUNK` terms: a longer row (a
-    hub's) is split into parts of `_CHUNK` terms, one chunk each and in order, and
-    `first` is False for every part after the first.
+    source nodes, row by row. A chunk holds at most max(`_CHUNK`, k + 1) terms: rows
+    of up to `_CHUNK` terms share a chunk, and a longer row (a hub's) is one chunk.
     """
     n, d = lap.n, lap.d
     deg = np.bincount(lap.edges.ravel(), minlength=n)
@@ -154,16 +153,8 @@ def _row_plan(lap: BlockLaplacian) -> list:
         nodes = src[lo:hi:t]  # a row's first term is its node's diagonal block
         step = max(1, _CHUNK // t)
         for a in range(0, c, step):
-            size = min(step, c - a)
-            for part in range(0, t, _CHUNK):  # one part unless t > _CHUNK, and then size = 1
-                width = min(_CHUNK, t - part)
-                start = lo + a * t + part
-                plan.append((
-                    rows[a:a + size, :, part * d:(part + width) * d],
-                    src[start:start + size * width],
-                    nodes[a:a + size],
-                    part == 0,
-                ))
+            b = min(a + step, c)
+            plan.append((rows[a:b], src[lo + a * t:lo + b * t], nodes[a:b]))
         lo = hi
     return plan
 
@@ -178,17 +169,14 @@ def apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
     if lap._plan is None:
         lap._plan = _row_plan(lap)
     out = np.empty(xb.shape)
-    gathered = np.empty((min(_CHUNK, lap.n + 2 * lap.num_edges),) + xb.shape[1:])
+    # the largest chunk: at most _CHUNK terms, or one hub row of deg + 1 <= n terms
+    gathered = np.empty((max(src.size for _, src, _ in lap._plan),) + xb.shape[1:])
     product = np.empty((min(_CHUNK, lap.n),) + xb.shape[1:])
-    for rows, src, nodes, first in lap._plan:
+    for rows, src, nodes in lap._plan:
         c = rows.shape[0]
         # every index is valid; "clip" fills the buffer in place, "raise" would copy it
         terms = np.take(xb, src, axis=0, out=gathered[:src.size], mode="clip")
-        rows_x = np.matmul(rows, terms.reshape(c, -1, xb.shape[2]), out=product[:c])
-        if first:
-            out[nodes] = rows_x
-        else:  # a later part of a hub's row
-            out[nodes] += rows_x
+        out[nodes] = np.matmul(rows, terms.reshape(c, -1, xb.shape[2]), out=product[:c])
     out = out.reshape(lap.dim, -1)
     return out[:, 0] if vec else out
 

@@ -104,7 +104,6 @@ class ForwardCache:
     xs: list[np.ndarray] = field(default_factory=list)     # T+1 states, (nd, f)
     pres: list[np.ndarray] = field(default_factory=list)   # pre-activations, per layer
     krons: dict[int, np.ndarray] = field(default_factory=dict)  # kron(W1, W2^T) by W1 index
-    z_out: np.ndarray | None = None                        # (n, d*f) decoder input
 
 
 def _act(y: np.ndarray, kind: str) -> np.ndarray:
@@ -155,8 +154,7 @@ def forward(model: DiffusionModel, features: np.ndarray) -> tuple[np.ndarray, Fo
         x = x - _act(pre, model.activation)
         cache.pres.append(pre)
         cache.xs.append(x)
-    cache.z_out = x.reshape(n, -1)
-    return cache.z_out @ ws[-1].T, cache
+    return x.reshape(n, -1) @ ws[-1].T, cache
 
 
 def _masked(logits: np.ndarray, labels: np.ndarray, mask):
@@ -198,14 +196,14 @@ def backward(
     Per layer, dM = L d_pre as (n, df) (L^T = L) gives dK = dM^T X_t, one (df, n) @
     (n, df) product, which contracts into dW1 and dW2; dM K is the state's gradient.
     """
-    if len(cache.pres) != model.steps or cache.z_out is None:
+    if len(cache.pres) != model.steps or len(cache.xs) != model.steps + 1:
         raise ValueError("stale or incomplete forward cache")
     ws = model.arrays
     n = cache.features.shape[0]
     d, f = ws[1].shape[0], ws[2].shape[0]
 
     grads = [np.zeros_like(w) for w in ws]  # tied steps accumulate into one pair
-    grads[-1] = logits_grad.T @ cache.z_out
+    grads[-1] = logits_grad.T @ cache.xs[-1].reshape(n, -1)
     g = (logits_grad @ ws[-1]).reshape(n * d, f)
 
     for t in reversed(range(model.steps)):
@@ -396,7 +394,8 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
     splits can share; without it `train` builds the operator itself. The
     history carries the build's `sheaf_build_seconds` and `diagnostics`.
     The weights are the model's `arrays`, for every kind. A split with an
-    empty part raises DataError, a non-finite training loss GuardError.
+    empty part or a label not below the node count raises DataError, a
+    non-finite training loss GuardError.
     """
     cfg.validate()
     g = dataset.graph

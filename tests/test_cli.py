@@ -545,6 +545,46 @@ class TestExitCodes:
         assert code == 2 and calls == [] and out == ""
         assert err == f"data error: split {index} has no test nodes\n"
 
+    @staticmethod
+    def _set_label(dataset_dir, label):
+        """Node 4's label; the reader takes any non-negative one."""
+        nodes = Path(dataset_dir) / "nodes.csv"
+        rows = nodes.read_text().splitlines()
+        rows[5] = ",".join(rows[5].split(",")[:-1] + [str(label)])
+        nodes.write_text("\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--kind", "connection"], ["train", "--kind", "gcn"],
+        ["train", "--split", "all"], ["bench"],
+    ], ids=["train-connection", "train-gcn", "train-all", "bench"])
+    def test_label_not_below_node_count_is_rejected_before_any_build(
+        self, dataset_dir, capsys, monkeypatch, argv
+    ):
+        import sheaflab.cli as cli
+
+        self._set_label(dataset_dir, 10**12)  # a decoder of 10^12 classes cannot be made
+        calls = []
+        for module in (cli, sl.model):
+            monkeypatch.setattr(module, "build_operator", lambda *a: calls.append(a))
+        code = main([argv[0], "--dataset", dataset_dir, *argv[1:]])
+        out, err = capsys.readouterr()
+        assert code == 2 and calls == [] and out == ""
+        assert err == "data error: label 1000000000000 is not below the node count 40\n"
+
+    @pytest.mark.parametrize("command", ["build-sheaf", "spectrum"])
+    def test_huge_label_does_not_stop_commands_that_train_nothing(
+        self, dataset_dir, tmp_path, capsys, command
+    ):
+        self._set_label(dataset_dir, 10**12)
+        code, records = run_cli(capsys, command, "--dataset", dataset_dir, "--d", "2",
+                                "--out", str(tmp_path / "out.csv"))
+        assert code == 0 and records[-1]["command"] == command
+
+    def test_largest_label_below_node_count_trains(self, dataset_dir, capsys):
+        self._set_label(dataset_dir, 39)  # n - 1: 40 classes, most of them empty
+        code, records = run_cli(capsys, "train", "--dataset", dataset_dir, "--kind", "mlp")
+        assert code == 0 and records[-1]["summary"]
+
     def test_only_selected_splits_need_every_part(self, dataset_dir, capsys):
         path = Path(dataset_dir) / "splits.json"
         splits = json.loads(path.read_text())

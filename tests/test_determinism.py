@@ -82,7 +82,7 @@ import numpy as np
 import sheaflab as sl
 from sheaflab.model import build_sheaf_by_kind
 
-n = 2 * sl.laplacian._CHUNK + 101  # the hub's row splits into three parts
+n = 2 * sl.laplacian._CHUNK + 101  # the hub's row, longer than _CHUNK, is a product of its own
 g = sl.from_edge_list(n, [(0, v) for v in range(1, n)], np.zeros((n, 2)))
 x = np.random.default_rng(0).standard_normal((2 * n, 8))
 lap = sl.normalise(sl.sheaf_laplacian(build_sheaf_by_kind(g, "rand-edge", 2, seed=2), g))

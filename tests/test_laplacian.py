@@ -447,21 +447,27 @@ def star_laplacians():
 
 
 def long_hub_laplacians():
-    """A star whose hub row, 2 _CHUNK + 101 terms, splits into three parts (d = 1, 2, 3)."""
+    """A star whose hub row holds 2 _CHUNK + 101 terms: its sheaf Laplacians and GCN operator."""
     n = 2 * sl.laplacian._CHUNK + 101
     g = sl.from_edge_list(n, [(0, v) for v in range(1, n)], np.zeros((n, 2)))
     for d in (1, 2, 3):
         yield sl.normalise(sl.sheaf_laplacian(build_sheaf_by_kind(g, "rand-edge", d, seed=d), g))
+    yield gcn_propagation_matrix(g)
 
 
-@pytest.mark.parametrize("chunk", [1, 4, None], ids=["every-row-split", "hubs-split", "default"])
+CHUNKS = pytest.mark.parametrize(
+    "chunk", [1, 4, None], ids=["one-node-per-product", "few-nodes-per-product", "default"]
+)
+
+
+@CHUNKS
 def test_apply_row_plan_matches_addat_oracle(monkeypatch, chunk):
-    # _CHUNK = 1 runs every row through the split path one term at a time; 4 splits
-    # every row of degree >= 4 and packs the short ones a few nodes per product
+    # _CHUNK = 1 makes every row a product of its own; 4 packs the shortest rows a
+    # few nodes per product and leaves each row of more than 4 terms on its own
     if chunk is not None:
         monkeypatch.setattr(sl.laplacian, "_CHUNK", chunk)
     rng = np.random.default_rng(9)
-    stars = star_laplacians() if chunk != 1 else ()  # 4 splits their hubs; 1 would be slow
+    stars = star_laplacians() if chunk != 1 else ()  # 1 would be slow
     for lap in (*oracle_gate_laplacians(), *stars):
         for op in (lap, sl.normalise(lap)):
             for shape in ((op.dim,), (op.dim, 1), (op.dim, 3), (op.dim, 8)):
@@ -472,7 +478,9 @@ def test_apply_row_plan_matches_addat_oracle(monkeypatch, chunk):
 def test_apply_hub_row_longer_than_a_chunk_matches_addat_oracle(f):
     rng = np.random.default_rng(11)
     for op in long_hub_laplacians():
-        assert max(len(src) for _, src, _, _ in sl.laplacian._row_plan(op)) == sl.laplacian._CHUNK
+        # the hub's row, all n = deg + 1 terms, is one chunk, and the only one over _CHUNK
+        chunks = [(src.size, nodes.tolist()) for _, src, nodes in sl.laplacian._row_plan(op)]
+        assert [c for c in chunks if c[0] > sl.laplacian._CHUNK] == [(op.n, [0])]
         assert_matches_addat(op, rng.standard_normal((op.dim, f)))
 
 
@@ -483,7 +491,7 @@ def integer_valued(lap, rng):
     return sl.BlockLaplacian(lap.n, lap.d, lap.edges, diag, off)
 
 
-@pytest.mark.parametrize("chunk", [1, 4, None], ids=["every-row-split", "hubs-split", "default"])
+@CHUNKS
 def test_apply_is_exact_on_integer_values(monkeypatch, chunk):
     # exact arithmetic leaves no rounding to differ in: a wrong source, block or
     # transpose shows bitwise, whatever order either side sums in
@@ -509,7 +517,7 @@ def contributions(lap):
     return terms
 
 
-@pytest.mark.parametrize("chunk", [1, 4, None], ids=["every-row-split", "hubs-split", "default"])
+@CHUNKS
 def test_row_plan_structure(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(sl.laplacian, "_CHUNK", chunk)
@@ -520,22 +528,19 @@ def test_row_plan_structure(monkeypatch, chunk):
 
 def check_row_plan(lap):
     d, cap = lap.d, sl.laplacian._CHUNK
-    rows, srcs = [[] for _ in range(lap.n)], [[] for _ in range(lap.n)]
-    for block_rows, src, nodes, first in sl.laplacian._row_plan(lap):
+    rows, srcs = [None] * lap.n, [None] * lap.n
+    for block_rows, src, nodes in sl.laplacian._row_plan(lap):
         c, _, width = block_rows.shape
         assert block_rows.shape[1] == d and width % d == 0 and src.size == c * (width // d)
-        assert src.size <= cap and nodes.size == c and (first or c == 1)
+        assert src.size <= max(cap, width // d) and nodes.size == c  # a long row stands alone
         for v, row, terms in zip(nodes, block_rows, src.reshape(c, -1)):
-            assert first == (not rows[v])  # a node's first part writes, its later parts add
-            rows[v].append(row)
-            srcs[v].extend(terms.tolist())
-    deg = np.bincount(lap.edges.ravel(), minlength=lap.n)
+            assert rows[v] is None  # each node is written by exactly one chunk
+            rows[v], srcs[v] = row, terms.tolist()
     terms = contributions(lap)
     for v in range(lap.n):
-        # one part per cap terms, in order: [D_v | B_vu_1 | ... | B_vu_k] and [v, u_1, ..., u_k]
-        assert len(rows[v]) == -(-(deg[v] + 1) // cap)
+        # the whole row, in order: [D_v | B_vu_1 | ... | B_vu_k] and [v, u_1, ..., u_k]
         want = [np.diag(lap.diag[v])] + [block for block, _ in terms[v]]
-        assert np.array_equal(np.concatenate(rows[v], axis=1), np.concatenate(want, axis=1))
+        assert np.array_equal(rows[v], np.concatenate(want, axis=1))
         assert srcs[v] == [v] + [u for _, u in terms[v]]
 
 
@@ -573,8 +578,9 @@ def test_apply_memory_peak_within_oracle():
 
 
 def test_apply_memory_peak_within_output_and_chunk_buffers():
-    # the output, the gather buffer of _CHUNK (d, f) terms and the product buffer of
-    # at most _CHUNK nodes; the slack covers numpy's small temporaries and views
+    # the output, the gather buffer of max(_CHUNK, deg + 1) (d, f) terms (a hub's whole
+    # row, never more than x) and the product buffer of at most _CHUNK nodes; the
+    # slack covers numpy's small temporaries and views
     g = sl.synth_sbm(4000, 2, 14.4 / 4000, 3.6 / 4000, 4, 2.0, seed=1).graph
     lap = sl.normalise(sl.sheaf_laplacian(sl.build_connection_sheaf(g, 2), g))
     rng = np.random.default_rng(0)
@@ -582,7 +588,8 @@ def test_apply_memory_peak_within_output_and_chunk_buffers():
     for op, f in cases + [(hub, 8) for hub in long_hub_laplacians()]:
         x = rng.standard_normal((op.dim, f))
         sl.apply(op, x)  # the plan is built once, outside the measured call
-        buffers = 2 * sl.laplacian._CHUNK * op.d * f * 8
+        longest = np.bincount(op.edges.ravel(), minlength=op.n).max() + 1  # terms in a row
+        buffers = (max(sl.laplacian._CHUNK, longest) + sl.laplacian._CHUNK) * op.d * f * 8
         assert _apply_peak(sl.apply, op, x) <= op.dim * f * 8 + buffers + 16_384
 
 

@@ -334,6 +334,14 @@ class TestBackward:
         with pytest.raises(ValueError, match="stale"):
             backward(model, cache, np.zeros((g.n, 2)))
 
+    def test_cache_missing_its_last_state_rejected(self):
+        # the decoder's input is the last state: without it W_out's gradient is wrong
+        g, lap, model, feats, labels = small_instance(10)
+        _, cache = forward(model, feats)
+        cache.xs.pop()
+        with pytest.raises(ValueError, match="stale"):
+            backward(model, cache, np.zeros((g.n, 2)))
+
 
 class TestAccuracyEvaluate:
     def test_perfect_logits(self):
