@@ -2,7 +2,8 @@
 
 Metrics go to stdout as line-delimited JSON records; files use the formats
 defined by the library modules. Exit codes: 0 success, 1 usage error,
-2 data error, 3 numerical guard.
+2 data error, 3 numerical guard, the size guard included: an allocation
+that numpy refuses, such as one an oversized option asks for, exits 3.
 """
 
 from __future__ import annotations
@@ -300,7 +301,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except GuardError as exc:
+    except (GuardError, MemoryError) as exc:  # MemoryError: numpy refused an allocation
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
 

@@ -249,28 +249,21 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
 # ---------------------------------------------------------------------------
 # optimisers
 
-class _AdamState:
-    def __init__(self, arrays):
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
-        self.t = 0
-
-
-def _step(arrays, grads, cfg: TrainConfig, adam: _AdamState | None):
+def _step(arrays, grads, cfg: TrainConfig, moments, t: int):
+    """One update of `arrays` in place; Adam's (m, v) `moments` too, at step count t >= 1."""
     wd = cfg.weight_decay
     if cfg.optimiser == "sgd":
         for a, g in zip(arrays, grads):
             a -= cfg.lr * (g + wd * a)
         return
-    adam.t += 1
     b1, b2, eps = 0.9, 0.999, 1e-8
-    for i, (a, g) in enumerate(zip(arrays, grads)):
+    for a, g, m, v in zip(arrays, grads, *moments):
         g = g + wd * a
-        adam.m[i] = b1 * adam.m[i] + (1 - b1) * g
-        adam.v[i] = b2 * adam.v[i] + (1 - b2) * g * g
-        mhat = adam.m[i] / (1 - b1 ** adam.t)
-        vhat = adam.v[i] / (1 - b2 ** adam.t)
-        a -= cfg.lr * mhat / (np.sqrt(vhat) + eps)
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        a -= cfg.lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +385,9 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
     rand-edge, rand-node) or one of the baselines (gcn, mlp). `built` is
     `build_operator(dataset.graph, kind, cfg)`'s result, which several
     splits can share; without it `train` builds the operator itself. The
-    history carries the build's `sheaf_build_seconds` and `diagnostics`.
+    history carries the build's `sheaf_build_seconds` and `diagnostics`;
+    `best_val_acc` and `test_acc_at_best` are its entries at `best_epoch`,
+    the first epoch of highest val accuracy, whose weights `train` returns.
     The weights are the model's `arrays`, for every kind. A split with an
     empty part or a label not below the node count raises DataError, a
     non-finite training loss GuardError.
@@ -414,10 +409,10 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
     else:
         ws = [_uniform(rng, (p, h), p), _uniform(rng, (h, n_classes), h)]
         model = BaselineModel(op, ws, cfg.activation)
-    adam = _AdamState(model.arrays) if cfg.optimiser == "adam" else None
+    moments = [[np.zeros_like(a) for a in model.arrays] for _ in range(2)]  # Adam's m and v
 
     history = {key: [] for key in EPOCH_KEYS}
-    best_val, best_epoch, best_arrays, since_best = -1.0, 0, None, 0
+    best_epoch, best_arrays = 0, None
     evaluated = None  # (logits, cache) of the last evaluation forward
     for epoch in range(1, cfg.epochs + 1):
         tic = time.perf_counter()
@@ -434,7 +429,7 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
             err.history = history
             raise err
         grads = model.backward(cache, cross_entropy_grad(logits, labels, split.train))
-        _step(model.arrays, grads, cfg, adam)
+        _step(model.arrays, grads, cfg, moments, epoch)
 
         del logits, cache, grads, evaluated  # one forward cache alive at a time
         evaluated = model.forward(g.features)
@@ -444,20 +439,17 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
         for key, value in zip(EPOCH_KEYS, (epoch, loss, tr, va, te, time.perf_counter() - tic)):
             history[key].append(value)
 
-        if va > best_val:
-            best_val, best_epoch, since_best = va, epoch, 0
-            best_arrays = [a.copy() for a in model.arrays]
-        else:
-            since_best += 1
-            if cfg.patience > 0 and since_best >= cfg.patience:
-                break
+        if epoch == 1 or va > history["val_acc"][best_epoch - 1]:
+            best_epoch, best_arrays = epoch, [a.copy() for a in model.arrays]
+        elif 0 < cfg.patience <= epoch - best_epoch:
+            break
 
     for a, b in zip(model.arrays, best_arrays):
         a[...] = b
     history.update(
         best_epoch=best_epoch,
-        best_val_acc=best_val,
-        test_acc_at_best=accuracy(model.forward(g.features)[0], labels, split.test),
+        best_val_acc=history["val_acc"][best_epoch - 1],
+        test_acc_at_best=history["test_acc"][best_epoch - 1],
         sheaf_build_seconds=build_seconds,
         mean_epoch_seconds=float(np.mean(history["epoch_seconds"])),
         diagnostics=asdict(diagnostics),

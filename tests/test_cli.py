@@ -649,6 +649,26 @@ class TestExitCodes:
         else:
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--kind", "gcn", "--config", "{cfg}"],
+        ["build-sheaf", "--kind", "trivial", "--d", "100000000", "--out", "{tmp}/sheaf.csv"],
+        ["synth", "--n", "10000000000000000", "--out", "{tmp}/sbm-huge"],
+    ], ids=["train-hidden", "build-sheaf-d", "synth-n"])
+    def test_refused_allocation_is_a_size_guard(self, dataset_dir, tmp_path, capsys, argv):
+        # every request is above 2^47 bytes (hidden: 3 x 10^15 doubles, d: a 10^8 x 10^8
+        # identity, n: 10^16 labels), which any overcommit policy refuses untouched
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epochs": 1, "hidden": 1000000000000000}')
+        if argv[0] != "synth":
+            argv = [argv[0], "--dataset", dataset_dir, *argv[1:]]
+        before = sorted(tmp_path.iterdir())
+        code = main([arg.format(cfg=cfg, tmp=tmp_path) for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err.startswith("numerical guard: Unable to allocate") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     @pytest.mark.parametrize("key", ["lr", "weight_decay"])
     @pytest.mark.parametrize("command", ["train", "bench"])

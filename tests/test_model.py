@@ -12,6 +12,7 @@ from sheaflab.model import (
     DiffusionModel,
     ForwardCache,
     TrainConfig,
+    accuracy,
     backward,
     build_operator,
     build_sheaf_by_kind,
@@ -577,17 +578,18 @@ class TestTrain:
         assert losses[0] != losses[1]
 
     @pytest.mark.parametrize("kind,dropout,forwards,applies", [
-        ("connection", 0.0, 5 + 2, 4 * 5 + 4),
-        ("gcn", 0.0, 0, 2 * 5 + 3),
-        ("connection", 0.3, 2 * 5 + 1, 6 * 5 + 2),
-        ("gcn", 0.3, 0, 5 * 5 + 1),
+        ("connection", 0.0, 5 + 1, 4 * 5 + 2),
+        ("gcn", 0.0, 0, 2 * 5 + 2),
+        ("connection", 0.3, 2 * 5, 6 * 5),
+        ("gcn", 0.3, 0, 5 * 5),
     ], ids=["connection", "gcn", "connection-dropout", "gcn-dropout"])
     def test_forward_and_apply_calls(self, monkeypatch, kind, dropout, forwards, applies):
         # 5 epochs at T = 2; at dropout 0 the evaluation forward doubles as the
         # next epoch's training forward, so only epoch 1 runs a forward of its own.
-        # GCN propagates a features array once: at dropout 0 every forward after the
-        # first reuses P X; with dropout every training and evaluation forward sees a
-        # new array, and only the final best-weights forward reuses the last P X
+        # No forward follows the last epoch: the results at the best epoch are read
+        # from the history. GCN propagates a features array once: at dropout 0 every
+        # forward after the first reuses P X; with dropout every training and
+        # evaluation forward sees a new array
         counts = {"forward": 0, "apply": 0}
         for name in counts:
             original = getattr(sl.model, name)
@@ -639,4 +641,25 @@ class TestTrain:
         ds = self._dataset(3)
         cfg = TrainConfig(epochs=300, patience=5, seed=0)
         _, hist = train(ds, "trivial", cfg, 0)
-        assert len(hist["epoch"]) < 300
+        best = hist["best_epoch"]
+        assert hist["epoch"] == list(range(1, best + 5 + 1))
+        assert max(hist["val_acc"][best:]) <= hist["best_val_acc"] == hist["val_acc"][best - 1]
+
+    @pytest.mark.parametrize("patience", [0, 5])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", [*sl.model.SHEAF_KINDS, *sl.model.BASELINE_KINDS])
+    def test_run_results_are_the_history_at_best_epoch(self, kind, dropout, patience):
+        ds = self._dataset(3)
+        cfg = TrainConfig(epochs=12, patience=patience, dropout=dropout, seed=1)
+        built = build_operator(ds.graph, kind, cfg)
+        arrays, hist = train(ds, kind, cfg, 0, built)
+        val, best = hist["val_acc"], hist["best_epoch"]
+        assert hist["best_val_acc"] == max(val) and best == val.index(max(val)) + 1
+        assert hist["test_acc_at_best"] == hist["test_acc"][best - 1]
+        if kind in sl.model.SHEAF_KINDS:
+            model = DiffusionModel(built[0], arrays, cfg.layers, cfg.activation)
+        else:
+            model = BaselineModel(built[0], arrays, cfg.activation)
+        g = ds.graph
+        logits = model.forward(g.features)[0]
+        assert accuracy(logits, g.labels, ds.splits[0].test) == hist["test_acc_at_best"]
