@@ -24,7 +24,6 @@ from .graph import Graph, from_edge_list
 TRAIN_FRACTION = 0.48
 VAL_FRACTION = 0.32
 N_SPLITS = 10
-_SBM_CHUNK = 1 << 18  # candidate node pairs per rng.random call in synth_sbm
 _CSV_CHUNK = 4096     # values per step of the text writers; bounds their buffers
 
 
@@ -132,19 +131,12 @@ def synth_sbm(
     labels = np.repeat(np.arange(n_classes), sizes)
 
     rng = np.random.default_rng(seed)
-    # one draw per candidate pair (i, j), i < j, in row-major order, taken in
-    # chunks of _SBM_CHUNK pairs; row i's pairs start at flat index first[i]
-    rows = np.arange(n)
-    first = rows * (2 * n - rows - 1) // 2
-    total = int(first[-1])  # n (n - 1) / 2
-    pairs = [np.zeros((0, 2), dtype=np.int64)]
-    for lo in range(0, total, _SBM_CHUNK):
-        flat = np.arange(lo, min(lo + _SBM_CHUNK, total))
-        iu = np.searchsorted(first, flat, side="right") - 1
-        ju = flat - first[iu] + iu + 1
-        keep = rng.random(flat.size) < np.where(labels[iu] == labels[ju], p_in, p_out)
-        pairs.append(np.stack([iu[keep], ju[keep]], axis=1))
-    edges = np.concatenate(pairs)
+    # one draw per candidate pair (i, j), i < j, in row-major order: row i's n - 1 - i in one call
+    tails = [i + 1 + np.flatnonzero(
+        rng.random(n - 1 - i) < np.where(labels[i + 1:] == labels[i], p_in, p_out)
+    ) for i in range(n)]
+    heads = np.repeat(np.arange(n), [t.size for t in tails])
+    edges = np.stack([heads, np.concatenate(tails)], axis=1)
 
     # scaled standard basis vectors sit at mutual distance `separation` exactly
     means = np.zeros((n_classes, feature_dim))

@@ -51,7 +51,7 @@ class BlockLaplacian:
 
     n: int
     d: int
-    edges: np.ndarray       # (m, 2) canonical
+    edges: np.ndarray       # (m, 2) canonical; an assembled operator shares the graph's
     diag: np.ndarray        # (n, d): the diagonal blocks' diagonals
     off: np.ndarray         # (m, d, d)
     normalised: bool = False
@@ -104,7 +104,7 @@ def sheaf_laplacian(s: Sheaf, g: Graph) -> BlockLaplacian:
     n, d = g.n, s.d
     diag = np.repeat(g.degrees.astype(np.float64)[:, None], d, axis=1)
     off = -s.transports
-    return BlockLaplacian(n=n, d=d, edges=s.edges.copy(), diag=diag, off=off)
+    return BlockLaplacian(n=n, d=d, edges=g.edges, diag=diag, off=off)
 
 
 def normalise(lap: BlockLaplacian) -> BlockLaplacian:
@@ -121,9 +121,7 @@ def normalise(lap: BlockLaplacian) -> BlockLaplacian:
     diag = lap.diag * (scale ** 2)[:, None]
     us, vs = lap.edges[:, 0], lap.edges[:, 1]
     off = lap.off * (scale[us] * scale[vs])[:, None, None]
-    return BlockLaplacian(
-        n=lap.n, d=lap.d, edges=lap.edges.copy(), diag=diag, off=off, normalised=True
-    )
+    return BlockLaplacian(n=lap.n, d=lap.d, edges=lap.edges, diag=diag, off=off, normalised=True)
 
 
 def _row_plan(lap: BlockLaplacian) -> list:

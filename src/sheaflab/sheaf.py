@@ -55,7 +55,7 @@ class Sheaf:
     d: int
     n: int
     kind: str                   # connection | trivial | rand-edge | rand-node
-    edges: np.ndarray           # (m, 2), copied from the graph
+    edges: np.ndarray           # (m, 2); a built sheaf shares the graph's read-only array
     transports: np.ndarray      # (m, d, d); transports[e] maps u-stalk to v-stalk
     bases: np.ndarray | None = None  # (n, p, d) connection bases, sign-canonical
     diagnostics: BuildDiagnostics = BuildDiagnostics()  # frozen, so one shared default is safe
@@ -202,7 +202,7 @@ def build_connection_sheaf(g: Graph, d: int) -> Sheaf:
         d=d,
         n=g.n,
         kind="connection",
-        edges=g.edges.copy(),
+        edges=g.edges,
         transports=transports,
         bases=bases,
         diagnostics=BuildDiagnostics(padded, completed, singular),
@@ -214,7 +214,7 @@ def trivial_sheaf(g: Graph, d: int) -> Sheaf:
     if d < 1:
         raise ValueError("stalk dimension must be >= 1")
     transports = np.tile(np.eye(d), (g.num_edges, 1, 1))
-    return Sheaf(d=d, n=g.n, kind="trivial", edges=g.edges.copy(), transports=transports)
+    return Sheaf(d=d, n=g.n, kind="trivial", edges=g.edges, transports=transports)
 
 
 def haar_orthogonal(gaussians: np.ndarray) -> np.ndarray:
@@ -266,7 +266,7 @@ def _haar_stack(d: int, seed: int, count: int) -> np.ndarray:
 def random_edge_sheaf(g: Graph, d: int, seed: int) -> Sheaf:
     """Independent Haar transport per edge, in canonical edge order."""
     transports = _haar_stack(d, seed, g.num_edges)
-    return Sheaf(d=d, n=g.n, kind="rand-edge", edges=g.edges.copy(), transports=transports)
+    return Sheaf(d=d, n=g.n, kind="rand-edge", edges=g.edges, transports=transports)
 
 
 def node_sheaf_from_matrices(g: Graph, matrices: np.ndarray) -> Sheaf:
@@ -277,7 +277,7 @@ def node_sheaf_from_matrices(g: Graph, matrices: np.ndarray) -> Sheaf:
     us, vs = g.edges[:, 0], g.edges[:, 1]
     transports = np.matmul(np.transpose(matrices[us], (0, 2, 1)), matrices[vs])
     return Sheaf(
-        d=matrices.shape[1], n=g.n, kind="rand-node", edges=g.edges.copy(), transports=transports
+        d=matrices.shape[1], n=g.n, kind="rand-node", edges=g.edges, transports=transports
     )
 
 

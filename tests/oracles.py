@@ -38,7 +38,8 @@ independent of the vectorised package code it checks:
   item's first counter block (`philox_item_words`), Box-Muller on that
   item alone (`philox_item_normals`) and one QR;
 - `all_pairs_synth_sbm`: the SBM sampler that draws all n(n-1)/2
-  candidate pairs at once;
+  candidate pairs in one call, the reference for `synth_sbm`, which draws
+  them row by row;
 - `loop_validate_split` and `loop_load_dataset`: the dataset reader with
   the csv module, one `int()` or `float()` per field, and a split check
   through `np.unique`;

@@ -22,6 +22,16 @@ def dataset_dir(tmp_path):
     return str(target)
 
 
+def fresh_python(*args):
+    """A new interpreter run with `args`, importing this sheaflab; its finished process."""
+    package_root = str(Path(sl.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr().out
@@ -417,14 +427,8 @@ class TestExitCodes:
         # a fresh interpreter, so a warning would reach stderr instead of pytest's recorder
         path = Path(dataset_dir) / fname
         path.write_text(edit(path.read_text()))
-        package_root = str(Path(sl.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "sheaflab.cli",
-             "build-sheaf", "--dataset", dataset_dir, "--out", str(tmp_path / "s.csv")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = fresh_python("-W", "default", "-m", "sheaflab.cli", "build-sheaf",
+                            "--dataset", dataset_dir, "--out", str(tmp_path / "s.csv"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
         assert "Warning" not in proc.stderr and proc.stdout == ""
@@ -715,12 +719,16 @@ def test_commands_do_not_import_numpy_ma(dataset_dir, tmp_path):
     # peak RSS that a fresh interpreter pays inside every timed build
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"epochs": 1}')
-    package_root = str(Path(sl.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_MASKED_ARRAYS, dataset_dir, str(tmp_path / "s.csv"), str(cfg)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = fresh_python("-c", _NO_MASKED_ARRAYS, dataset_dir, str(tmp_path / "s.csv"), str(cfg))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "False\n"
+
+
+def test_import_loads_numpy_random():
+    # numpy loads numpy.random lazily, and sheaflab loads it at import on purpose: about
+    # 10 ms that the benchmark pays before its clock starts. Loaded on first use instead,
+    # it would move into the first timed rand-edge build and raise baselines-4k's setup_s
+    # by about a third; making it lazy must be a deliberate change that edits this test
+    proc = fresh_python("-c", "import sys, sheaflab; print('numpy.random' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

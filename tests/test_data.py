@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import sheaflab as sl
-import sheaflab.data
 from sheaflab.data import Split, generate_splits, load_dataset, save_dataset, synth_sbm
 from sheaflab.errors import DataError
 from oracles import all_pairs_synth_sbm, loop_load_dataset, loop_save_dataset
@@ -227,16 +226,18 @@ class TestSynthSbm:
 
 
 @pytest.mark.parametrize(
-    "chunk, n, seed",
-    [(7, 10, 0), (7, 37, 1), (50, 101, 2), (50, 101, 3), (1000, 300, 4), (1 << 18, 800, 5)],
+    "n, classes, p_in, p_out, seed",
+    [
+        (10, 3, 0.2, 0.05, 0), (37, 3, 0.2, 0.05, 1), (101, 3, 0.2, 0.05, 2),
+        (101, 3, 0.2, 0.05, 3), (300, 3, 0.2, 0.05, 4), (800, 3, 0.2, 0.05, 5),
+        (4, 1, 0.5, 0.5, 6),      # one class: every pair draws p_in
+        (61, 5, 0.3, 0.05, 7),    # 61 = 5 * 12 + 1: unequal blocks
+        (40, 2, 0.0, 0.0, 8),     # no edge, yet every pair still takes its draw
+        (45, 3, 1.0, 0.0, 9),     # three cliques
+    ],
 )
-def test_chunked_sbm_files_match_all_pairs_oracle(tmp_path, monkeypatch, chunk, n, seed):
-    monkeypatch.setattr(sheaflab.data, "_SBM_CHUNK", chunk)
-    rows = np.arange(n)
-    first = rows * (2 * n - rows - 1) // 2  # flat index of each row's first pair
-    boundaries = np.arange(chunk, n * (n - 1) // 2, chunk)
-    assert boundaries.size and not np.isin(boundaries, first).all()  # some fall mid-row
-    args = (n, 3, 0.2, 0.05, 4, 2.0, seed)
+def test_sbm_files_match_all_pairs_oracle(tmp_path, n, classes, p_in, p_out, seed):
+    args = (n, classes, p_in, p_out, max(4, classes), 2.0, seed)
     save_dataset(synth_sbm(*args), tmp_path / "new")
     save_dataset(all_pairs_synth_sbm(*args), tmp_path / "old")
     for name in ("nodes.csv", "edges.csv", "splits.json"):
@@ -250,7 +251,7 @@ def test_sbm_peak_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 8 * 2**20
 
 
 def assert_same_dataset(a, b):

@@ -505,6 +505,17 @@ class TestTrainConfig:
             train(ds, "gcn", TrainConfig(d=2.5), 0)
 
 
+@pytest.mark.parametrize("kind", [*sl.model.SHEAF_KINDS, "gcn"])
+def test_operators_share_the_graphs_read_only_edges(kind):
+    g = sl.synth_sbm(60, 2, 0.2, 0.05, 2, 2.0, seed=0).graph
+    arrays = [build_operator(g, kind, TrainConfig(use_normalised=flag, seed=0))[0].edges
+              for flag in (True, False)]
+    if kind != "gcn":
+        arrays.append(build_sheaf_by_kind(g, kind, 2, seed=0).edges)
+    for edges in arrays:
+        assert not edges.flags.writeable and np.shares_memory(edges, g.edges)
+
+
 class TestTrain:
     def _dataset(self, seed=0):
         return sl.synth_sbm(60, 2, 0.2, 0.05, 2, 2.0, seed=seed)
