@@ -5,8 +5,8 @@ diagonal entries, plus one off-diagonal d x d block per canonical edge
 (u, v), holding the block at block-row v / block-column u; the mirrored
 block is its transpose. For an orthogonal sheaf the diagonal block at v
 is deg(v) * I and the stored off-diagonal block is minus the u-to-v
-transport. Spectra fall back to a dense symmetric eigensolver behind a
-size guard.
+transport. Spectra fall back to a dense symmetric eigensolver; the dense
+matrix, O((nd)^2) memory, sits behind a size guard.
 
 `apply` runs block-sparse through a row plan that it builds on an
 operator's first call and caches on it. The plan groups the nodes by degree
@@ -36,7 +36,7 @@ from .errors import GuardError
 from .graph import Graph
 from .sheaf import Sheaf
 
-DENSE_EIG_LIMIT = 5000  # nd beyond this refuses the dense eigensolver
+DENSE_EIG_LIMIT = 5000  # nd beyond this refuses `to_dense`, so the dense eigensolver too
 _CHUNK = 2048  # terms per `apply` product of short rows; a longer row is a product of its own
 
 
@@ -66,6 +66,9 @@ class BlockLaplacian:
         return int(self.edges.shape[0])
 
     def to_dense(self) -> np.ndarray:
+        """The nd x nd matrix, refused (GuardError) for nd > DENSE_EIG_LIMIT before allocating."""
+        if self.dim > DENSE_EIG_LIMIT:
+            raise GuardError(f"dense size guard: nd={self.dim} exceeds limit {DENSE_EIG_LIMIT}")
         dense = np.zeros((self.dim, self.dim), dtype=np.float64)
         rows, cols, vals = _entries(self)
         dense[rows, cols] = vals
@@ -188,9 +191,7 @@ def dirichlet_energy(lap: BlockLaplacian, x: np.ndarray) -> float:
 
 
 def spectrum(lap: BlockLaplacian) -> np.ndarray:
-    """Ascending eigenvalues via a dense symmetric solve, refused for nd > DENSE_EIG_LIMIT."""
-    if lap.dim > DENSE_EIG_LIMIT:
-        raise GuardError(f"dense eigensolver guard: nd={lap.dim} exceeds limit {DENSE_EIG_LIMIT}")
+    """Ascending eigenvalues via a dense symmetric solve, refused by `to_dense`'s size guard."""
     return np.linalg.eigvalsh(lap.to_dense())  # exactly symmetric: each value at both mirrors
 
 

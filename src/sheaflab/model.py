@@ -18,10 +18,11 @@ backpropagation only traverses the weights; its adjoint reuses L (symmetry).
 its weights in a flat list `arrays`, with `forward(features) -> (logits,
 cache)` and `backward(cache, dlogits)` returning gradients in that order,
 so the baseline (GCN, or MLP when there is no operator) trains through
-the same full-batch loop. At dropout 0 the evaluation forward that ends
-one epoch is the next epoch's training forward (same features, same
-weights), so each epoch after the first runs one forward; with dropout > 0
-every epoch runs two.
+the same full-batch loop. Both models look up act and its derivative
+`act_grad` in the one table `_ACTIVATIONS` when they are built. At dropout
+0 the evaluation forward that ends one epoch is the next epoch's training
+forward (same features, same weights), so each epoch after the first runs
+one forward; with dropout > 0 every epoch runs two.
 """
 
 from __future__ import annotations
@@ -49,7 +50,19 @@ SHEAF_KINDS = ("connection", "trivial", "rand-edge", "rand-node")
 BASELINE_KINDS = ("gcn", "mlp")
 # per-epoch history lists, one entry per finished epoch
 EPOCH_KEYS = ("epoch", "train_loss", "train_acc", "val_acc", "test_acc", "epoch_seconds")
-ACTIVATIONS = ("relu", "tanh", "identity")
+# each activation's (map, derivative), both taken at the pre-activation
+_ACTIVATIONS = {
+    "relu": (lambda y: np.maximum(y, 0.0), lambda y: (y > 0).astype(np.float64)),
+    "tanh": (np.tanh, lambda y: 1.0 - np.tanh(y) ** 2),
+    "identity": (lambda y: y, np.ones_like),
+}
+
+
+def _activation(name: str):
+    """`name`'s (map, derivative) pair from `_ACTIVATIONS`; ValueError for an unknown name."""
+    if name not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+    return _ACTIVATIONS[name]
 
 
 @dataclass
@@ -66,7 +79,7 @@ class TrainConfig:
     seed: int = 0
     use_normalised: bool = True
     patience: int = 50            # epochs without val improvement; <= 0 disables
-    activation: str = "relu"      # relu | tanh | identity
+    activation: str = "relu"      # a key of _ACTIVATIONS: relu | tanh | identity
     tied_weights: bool = False    # share one (W1, W2) pair across layers
     dropout: float = 0.0          # input-feature dropout, train-time only
     hidden: int = 32              # hidden width for the gcn/mlp baselines
@@ -88,8 +101,7 @@ class TrainConfig:
             raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
         if self.optimiser not in ("adam", "sgd"):
             raise ValueError(f"unknown optimiser {self.optimiser!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        _activation(self.activation)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if not 0 <= self.seed < 1 << 128:  # the Haar sheaves' Philox key range, for every kind
@@ -104,26 +116,6 @@ class ForwardCache:
     xs: list[np.ndarray] = field(default_factory=list)     # T+1 states, (nd, f)
     pres: list[np.ndarray] = field(default_factory=list)   # pre-activations, per layer
     krons: dict[int, np.ndarray] = field(default_factory=dict)  # kron(W1, W2^T) by W1 index
-
-
-def _act(y: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(y, 0.0)
-    if kind == "tanh":
-        return np.tanh(y)
-    if kind == "identity":
-        return y
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _act_grad(y: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (y > 0).astype(np.float64)
-    if kind == "tanh":
-        return 1.0 - np.tanh(y) ** 2
-    if kind == "identity":
-        return np.ones_like(y)
-    raise ValueError(f"unknown activation {kind!r}")
 
 
 def encode(features: np.ndarray, w_in: np.ndarray, d: int) -> np.ndarray:
@@ -151,7 +143,7 @@ def forward(model: DiffusionModel, features: np.ndarray) -> tuple[np.ndarray, Fo
     for t in range(model.steps):
         kron = cache.krons[model.pair_index(t)]
         pre = apply(lap, (x.reshape(n, -1) @ kron.T).reshape(x.shape))
-        x = x - _act(pre, model.activation)
+        x = x - model.act(pre)
         cache.pres.append(pre)
         cache.xs.append(x)
     return x.reshape(n, -1) @ ws[-1].T, cache
@@ -208,7 +200,7 @@ def backward(
 
     for t in reversed(range(model.steps)):
         k = model.pair_index(t)
-        d_pre = -g * _act_grad(cache.pres[t], model.activation)
+        d_pre = -g * model.act_grad(cache.pres[t])
         d_mid = apply(model.lap, d_pre).reshape(n, -1)
         dk = (d_mid.T @ cache.xs[t].reshape(n, -1)).reshape(d, f, d, f)
         grads[k] += np.einsum("iajb,ba->ij", dk, ws[k + 1])
@@ -299,6 +291,7 @@ class DiffusionModel:
     def __init__(self, lap: BlockLaplacian, arrays, steps: int, activation: str):
         self.lap, self.arrays = lap, arrays
         self.steps, self.activation = steps, activation
+        self.act, self.act_grad = _activation(activation)
 
     def pair_index(self, t: int) -> int:
         """Index of step t's W1 in `arrays`; its W2 follows."""
@@ -321,6 +314,7 @@ class BaselineModel:
 
     def __init__(self, prop: BlockLaplacian | None, arrays, activation: str):
         self.prop, self.arrays, self.activation = prop, arrays, activation
+        self.act, self.act_grad = _activation(activation)
         self._propagated = (None, None)  # (features, P features)
 
     def _propagate(self, x):
@@ -331,13 +325,13 @@ class BaselineModel:
         if self._propagated[0] is not features:
             self._propagated = (features, self._propagate(features))
         pre = self._propagated[1] @ w1
-        hidden = _act(pre, self.activation)
+        hidden = self.act(pre)
         return self._propagate(hidden @ w2), (self._propagated[1], pre, hidden)
 
     def backward(self, cache, dlogits):
         px, pre, hidden = cache
         d_out = self._propagate(dlogits)                        # P^T = P
-        d_pre = (d_out @ self.arrays[1].T) * _act_grad(pre, self.activation)
+        d_pre = (d_out @ self.arrays[1].T) * self.act_grad(pre)
         return [px.T @ d_pre, hidden.T @ d_out]                 # X^T P d_pre = (P X)^T d_pre
 
 

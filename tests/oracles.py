@@ -20,7 +20,9 @@ independent of the vectorised package code it checks:
   which as many identity-weight diffusion layers reproduce (criterion 09);
 - `sheaf_layer`: one diffusion layer X - act(L (I kron W1) X W2) with one
   stacked W1 product per node and one W2 product, where `model.forward`
-  multiplies by kron(W1, W2^T) once;
+  multiplies by kron(W1, W2^T) once; its activations `_ACTIVATIONS` and
+  their derivatives `_ACTIVATION_GRADS`, stated apart from the package's
+  table;
 - `loop_write_sheaf_csv`: the per-edge version of `write_sheaf_csv`;
 - `loop_read_sheaf_csv`: the sheaf CSV reader with one `int()` or `float()`
   per field and the line numbers kept in a list;
@@ -274,6 +276,12 @@ def euler_diffusion(lap: BlockLaplacian, x0: np.ndarray, steps: int) -> np.ndarr
 
 
 _ACTIVATIONS = {"relu": lambda y: np.maximum(y, 0.0), "tanh": np.tanh, "identity": lambda y: y}
+# each map's derivative at the pre-activation y: the step (0 at y = 0), sech^2 y = 1 - tanh^2 y, 1
+_ACTIVATION_GRADS = {
+    "relu": lambda y: np.where(y > 0, 1.0, 0.0),
+    "tanh": lambda y: 1.0 - np.tanh(y) ** 2,
+    "identity": lambda y: np.ones(np.shape(y)),
+}
 
 
 def sheaf_layer(lap: BlockLaplacian, x: np.ndarray, w1, w2, activation: str) -> np.ndarray:

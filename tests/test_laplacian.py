@@ -243,14 +243,28 @@ class TestSpectrum:
         assert eigs.min() >= -1e-9
         assert eigs.max() <= 2.0 + 1e-9
 
-    def test_size_guard(self):
+    @staticmethod
+    def above_dense_limit():
         n, d = 2501, 2  # nd = 5002 > DENSE_EIG_LIMIT; no edges, so the operator is small
-        lap = sl.BlockLaplacian(
+        return sl.BlockLaplacian(
             n=n, d=d, edges=np.empty((0, 2), dtype=np.int64),
             diag=np.zeros((n, d)), off=np.empty((0, d, d)),
         )
+
+    def test_size_guard(self):
         with pytest.raises(GuardError, match="guard"):
-            sl.spectrum(lap)
+            sl.spectrum(self.above_dense_limit())
+
+    def test_to_dense_size_guard_refuses_before_allocating(self):
+        lap = self.above_dense_limit()
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardError, match="guard: nd=5002 exceeds limit 5000"):
+                lap.to_dense()  # the dense matrix would take 200 MB
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestEulerDiffusion:

@@ -25,7 +25,7 @@ from sheaflab.model import (
     train,
 )
 from conftest import random_graph
-from oracles import euler_diffusion, graph_laplacian, sheaf_layer
+from oracles import _ACTIVATION_GRADS, _ACTIVATIONS, euler_diffusion, graph_laplacian, sheaf_layer
 
 
 def small_instance(seed, n=6, p=3, d=2, f=2, layers=2, activation="relu", kind="connection"):
@@ -435,8 +435,8 @@ class TestGcnMlp:
             dense = self.dense_gcn(g)
             px = dense @ g.features
             pre = px @ w1
-            hidden = sl.model._act(pre, activation)
-            d_pre = (dense @ dlogits @ w2.T) * sl.model._act_grad(pre, activation)
+            hidden = _ACTIVATIONS[activation](pre)
+            d_pre = (dense @ dlogits @ w2.T) * _ACTIVATION_GRADS[activation](pre)
             assert_allclose(logits, dense @ hidden @ w2, rtol=1e-12)
             assert_allclose(grad_w1, px.T @ d_pre, rtol=1e-12)
             assert_allclose(grad_w2, hidden.T @ dense @ dlogits, rtol=1e-12)
@@ -503,6 +503,18 @@ class TestTrainConfig:
         ds = sl.synth_sbm(60, 2, 0.2, 0.05, 2, 2.0, seed=0)
         with pytest.raises(ValueError, match="config key d must be int, got 2.5"):
             train(ds, "gcn", TrainConfig(d=2.5), 0)
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "gcn", "mlp"])
+def test_unknown_activation_is_a_value_error(kind):
+    g, lap, model, feats, _ = small_instance(0)
+    with pytest.raises(ValueError, match="unknown activation 'gelu'"):
+        if kind == "diffusion":
+            built = DiffusionModel(lap, model.arrays, model.steps, "gelu")
+        else:
+            prop = gcn_propagation_matrix(g) if kind == "gcn" else None
+            built = BaselineModel(prop, [np.ones((3, 4)), np.ones((4, 2))], "gelu")
+        built.forward(feats)
 
 
 @pytest.mark.parametrize("kind", [*sl.model.SHEAF_KINDS, "gcn"])
