@@ -13,9 +13,7 @@ import argparse
 import numpy as np
 
 from sheaflab import homophily, synth_sbm
-from sheaflab.model import TrainConfig, build_operator, train
-
-KINDS = ("connection", "trivial", "rand-edge", "rand-node", "gcn", "mlp")
+from sheaflab.model import BASELINE_KINDS, SHEAF_KINDS, TrainConfig, build_operator, train
 
 
 def main():
@@ -46,7 +44,7 @@ def main():
     )
     print(header)
     print("-" * len(header))
-    for kind in KINDS:
+    for kind in SHEAF_KINDS + BASELINE_KINDS:
         cells = []
         for _, ds, _ in datasets:
             # the Haar kinds draw their sheaf from cfg.seed, so each split builds its own

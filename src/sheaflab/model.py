@@ -19,10 +19,10 @@ its weights in a flat list `arrays`, with `forward(features) -> (logits,
 cache)` and `backward(cache, dlogits)` returning gradients in that order,
 so the baseline (GCN, or MLP when there is no operator) trains through
 the same full-batch loop. Both models look up act and its derivative
-`act_grad` in the one table `_ACTIVATIONS` when they are built. At dropout
-0 the evaluation forward that ends one epoch is the next epoch's training
-forward (same features, same weights), so each epoch after the first runs
-one forward; with dropout > 0 every epoch runs two.
+`act_grad`, stated on act's output, in the one table `_ACTIVATIONS` when
+built, and cache that output. At dropout 0 the evaluation forward ending
+one epoch is the next epoch's training forward (same features, same
+weights), so each later epoch runs one forward; with dropout > 0, two.
 """
 
 from __future__ import annotations
@@ -50,10 +50,11 @@ SHEAF_KINDS = ("connection", "trivial", "rand-edge", "rand-node")
 BASELINE_KINDS = ("gcn", "mlp")
 # per-epoch history lists, one entry per finished epoch
 EPOCH_KEYS = ("epoch", "train_loss", "train_acc", "val_acc", "test_acc", "epoch_seconds")
-# each activation's (map, derivative), both taken at the pre-activation
+_LOSS_LIMIT = 1e6  # a training loss above this times ln C (C classes) has diverged
+# each activation's (map of the pre-activation y, derivative stated on its output a = act(y))
 _ACTIVATIONS = {
-    "relu": (lambda y: np.maximum(y, 0.0), lambda y: (y > 0).astype(np.float64)),
-    "tanh": (np.tanh, lambda y: 1.0 - np.tanh(y) ** 2),
+    "relu": (lambda y: np.maximum(y, 0.0), lambda a: (a > 0).astype(np.float64)),
+    "tanh": (np.tanh, lambda a: 1.0 - a ** 2),
     "identity": (lambda y: y, np.ones_like),
 }
 
@@ -114,7 +115,7 @@ class ForwardCache:
 
     features: np.ndarray
     xs: list[np.ndarray] = field(default_factory=list)     # T+1 states, (nd, f)
-    pres: list[np.ndarray] = field(default_factory=list)   # pre-activations, per layer
+    acts: list[np.ndarray] = field(default_factory=list)   # act's outputs, per layer
     krons: dict[int, np.ndarray] = field(default_factory=dict)  # kron(W1, W2^T) by W1 index
 
 
@@ -142,9 +143,9 @@ def forward(model: DiffusionModel, features: np.ndarray) -> tuple[np.ndarray, Fo
     cache.xs.append(x)
     for t in range(model.steps):
         kron = cache.krons[model.pair_index(t)]
-        pre = apply(lap, (x.reshape(n, -1) @ kron.T).reshape(x.shape))
-        x = x - model.act(pre)
-        cache.pres.append(pre)
+        act = model.act(apply(lap, (x.reshape(n, -1) @ kron.T).reshape(x.shape)))
+        x = x - act
+        cache.acts.append(act)
         cache.xs.append(x)
     return x.reshape(n, -1) @ ws[-1].T, cache
 
@@ -188,7 +189,7 @@ def backward(
     Per layer, dM = L d_pre as (n, df) (L^T = L) gives dK = dM^T X_t, one (df, n) @
     (n, df) product, which contracts into dW1 and dW2; dM K is the state's gradient.
     """
-    if len(cache.pres) != model.steps or len(cache.xs) != model.steps + 1:
+    if len(cache.acts) != model.steps or len(cache.xs) != model.steps + 1:
         raise ValueError("stale or incomplete forward cache")
     ws = model.arrays
     n = cache.features.shape[0]
@@ -200,7 +201,7 @@ def backward(
 
     for t in reversed(range(model.steps)):
         k = model.pair_index(t)
-        d_pre = -g * model.act_grad(cache.pres[t])
+        d_pre = -g * model.act_grad(cache.acts[t])
         d_mid = apply(model.lap, d_pre).reshape(n, -1)
         dk = (d_mid.T @ cache.xs[t].reshape(n, -1)).reshape(d, f, d, f)
         grads[k] += np.einsum("iajb,ba->ij", dk, ws[k + 1])
@@ -324,14 +325,13 @@ class BaselineModel:
         w1, w2 = self.arrays
         if self._propagated[0] is not features:
             self._propagated = (features, self._propagate(features))
-        pre = self._propagated[1] @ w1
-        hidden = self.act(pre)
-        return self._propagate(hidden @ w2), (self._propagated[1], pre, hidden)
+        hidden = self.act(self._propagated[1] @ w1)
+        return self._propagate(hidden @ w2), (self._propagated[1], hidden)
 
     def backward(self, cache, dlogits):
-        px, pre, hidden = cache
+        px, hidden = cache
         d_out = self._propagate(dlogits)                        # P^T = P
-        d_pre = (d_out @ self.arrays[1].T) * self.act_grad(pre)
+        d_pre = (d_out @ self.arrays[1].T) * self.act_grad(hidden)
         return [px.T @ d_pre, hidden.T @ d_out]                 # X^T P d_pre = (P X)^T d_pre
 
 
@@ -384,7 +384,7 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
     the first epoch of highest val accuracy, whose weights `train` returns.
     The weights are the model's `arrays`, for every kind. A split with an
     empty part or a label not below the node count raises DataError, a
-    non-finite training loss GuardError.
+    training loss that is NaN or above `_LOSS_LIMIT` ln C GuardError.
     """
     cfg.validate()
     g = dataset.graph
@@ -418,7 +418,7 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
         else:
             logits, cache = model.forward(g.features)
         loss = cross_entropy(logits, labels, split.train)
-        if not np.isfinite(loss):
+        if not loss <= _LOSS_LIMIT * np.log(n_classes):  # also fails NaN; C = 1 gives 0 <= 0
             err = GuardError(f"{kind}: training loss is {loss} at epoch {epoch}")
             err.history = history
             raise err

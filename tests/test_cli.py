@@ -203,8 +203,9 @@ class TestTrain:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optimiser": "sgd", "lr": 1e6}))
         code, records = run_cli(capsys, "train", "--dataset", str(target), "--config", str(cfg))
+        # epoch 2's loss, 6.6e29 ln 2, is finite but above the magnitude bound
         assert code == 3
-        assert [r["epoch"] for r in records] == [1, 2, 3]
+        assert [r["epoch"] for r in records] == [1]
         assert all(np.isfinite(r["train_loss"]) for r in records)
 
     @pytest.mark.parametrize("command", ["train", "bench"])

@@ -331,7 +331,7 @@ class TestBackward:
     def test_stale_cache_rejected(self):
         g, lap, model, feats, labels = small_instance(10)
         _, cache = forward(model, feats)
-        cache.pres.pop()
+        cache.acts.pop()
         with pytest.raises(ValueError, match="stale"):
             backward(model, cache, np.zeros((g.n, 2)))
 
@@ -517,6 +517,17 @@ def test_unknown_activation_is_a_value_error(kind):
         built.forward(feats)
 
 
+@pytest.mark.parametrize("name", ["relu", "tanh", "identity"])
+def test_derivative_on_the_output_equals_the_oracle_at_the_pre_activation(name):
+    # the package states each derivative on a = act(y), the oracle on y itself;
+    # both must agree bitwise, NaN where NaN, on every class of float64
+    tiny = np.finfo(np.float64).smallest_subnormal
+    y = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310,
+                  1e300, -1e300, 0.5, -2.0, 3.75, 1e-3, -20.0, 7e-9])
+    act, act_grad = sl.model._ACTIVATIONS[name]
+    assert np.array_equal(act_grad(act(y)), _ACTIVATION_GRADS[name](y), equal_nan=True)
+
+
 @pytest.mark.parametrize("kind", [*sl.model.SHEAF_KINDS, "gcn"])
 def test_operators_share_the_graphs_read_only_edges(kind):
     g = sl.synth_sbm(60, 2, 0.2, 0.05, 2, 2.0, seed=0).graph
@@ -590,6 +601,24 @@ class TestTrain:
         cfg = TrainConfig(optimiser="sgd", lr=1e6, seed=0)
         with np.errstate(all="ignore"), pytest.raises(GuardError, match="training loss is"):
             train(self._dataset(), kind, cfg, 0)
+
+    @pytest.mark.parametrize("kind", ["connection", "gcn", "mlp"])
+    def test_diverging_finite_loss_raises_guard_error(self, kind):
+        # Adam at lr = 1e6 keeps the loss finite, at 1e13 to 4e38 times ln 2 from epoch 2
+        # on; the magnitude bound stops it there, after one finished epoch
+        cfg = TrainConfig(lr=1e6, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(GuardError, match="training loss is") as err:
+            train(self._dataset(), kind, cfg, 0)
+        assert err.value.history["epoch"] == [1]
+
+    @pytest.mark.parametrize("kind", ["connection", "gcn"])
+    def test_one_class_loss_is_zero_within_the_guard(self, kind):
+        # C = 1: ln C = 0 makes the bound 0, and the log-softmax of one logit is exactly 0
+        ds = self._dataset()
+        g = ds.graph
+        ds.graph = sl.from_edge_list(g.n, g.edges, g.features, np.zeros(g.n, dtype=np.int64))
+        _, hist = train(ds, kind, TrainConfig(epochs=5, patience=0, seed=0), 0)
+        assert hist["train_loss"] == [0.0] * 5
 
     @pytest.mark.parametrize("kind", ["gcn", "mlp", "trivial"])
     def test_dropout_changes_training(self, kind):
