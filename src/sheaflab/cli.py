@@ -32,15 +32,10 @@ EXIT_DATA = 2
 EXIT_GUARD = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; route through UsageError
-    # instead so usage problems map to exit code 1.
+    # argparse exits 2 on bad usage; a ValueError is exit 1, like every usage error
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def load_train_config(path: str | None, overrides: dict) -> TrainConfig:
@@ -51,15 +46,15 @@ def load_train_config(path: str | None, overrides: dict) -> TrainConfig:
             with open(path) as fh:
                 raw = json.load(fh)
         except FileNotFoundError as exc:
-            raise UsageError(f"config file not found: {path}") from exc
+            raise ValueError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {path}") from exc
+            raise ValueError(f"config file is not valid JSON: {path}") from exc
         if not isinstance(raw, dict):
-            raise UsageError("config file must hold a JSON object")
+            raise ValueError("config file must hold a JSON object")
         known = {f.name for f in fields(TrainConfig)}
         for key in raw:
             if key not in known:
-                raise UsageError(f"unknown config key: {key}")
+                raise ValueError(f"unknown config key: {key}")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
     cfg = TrainConfig(**values)
@@ -142,7 +137,7 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
     indices = [i for i in range(len(ds.splits)) if args.split in ("all", str(i))]
     if not indices:  # every selected split is checked before the build
-        raise UsageError(f"split out of range: {args.split} (dataset has {len(ds.splits)})")
+        raise ValueError(f"split out of range: {args.split} (dataset has {len(ds.splits)})")
     for index in indices:
         _trainable_split(ds, index)
 
@@ -295,7 +290,7 @@ def main(argv=None) -> int:
         # numpy's warnings are muted: the numerical guard reports a non-finite result
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:  # OSError: an unusable file argument
+    except (ValueError, OSError) as exc:  # OSError: an unusable file argument
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

@@ -27,13 +27,8 @@ class Graph:
     labels: np.ndarray | None = None  # (n,) int64 class ids
 
     def __post_init__(self):
-        # adjacency in CSR form: the ascending neighbours of node i are
-        # _adjacent[_indptr[i]:_indptr[i + 1]]; degrees[i] is their count
-        us, vs = self.edges.astype(np.int64).T
-        key = np.sort(np.concatenate([us * self.n + vs, vs * self.n + us]))  # head * n + tail
-        heads, self._adjacent = np.divmod(key, self.n)
-        self.degrees = np.bincount(heads, minlength=self.n)
-        self._indptr = np.concatenate([[0], np.cumsum(self.degrees)])
+        # degrees[i] counts node i's neighbours, listed only by sheaf.neighbourhood_with_padding
+        self.degrees = np.bincount(self.edges.ravel(), minlength=self.n)
         self.degrees.setflags(write=False)
 
     @property

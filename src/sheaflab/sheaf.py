@@ -136,15 +136,18 @@ def neighbourhood_with_padding(g: Graph, d: int) -> tuple[np.ndarray, np.ndarray
         raise GuardError(f"cannot pad neighbourhoods: need n > d, got n={g.n}, d={d}")
     starts = np.concatenate(([0], np.cumsum(np.maximum(g.degrees, d))))
     flat = np.empty(starts[-1], dtype=np.int64)
-    # node i's CSR run moves right by the padding of the nodes before it
-    shift = starts[:-1] - g._indptr[:-1]
-    flat[np.arange(g._adjacent.size) + np.repeat(shift, g.degrees)] = g._adjacent
+    # sorting head * n + tail over both orientations puts each node's ascending
+    # neighbours in one run; node i's run moves right by the padding before it
+    us, vs = g.edges.astype(np.int64).T  # n * n overflows int32 above n = 46,340
+    heads, tails = np.divmod(np.sort(np.concatenate([us * g.n + vs, vs * g.n + us])), g.n)
+    shift = starts - np.concatenate(([0], np.cumsum(g.degrees)))
+    flat[np.arange(tails.size) + shift[heads]] = tails
     for i in np.flatnonzero(g.degrees < d):
-        lo, hi = g._indptr[i], g._indptr[i + 1]
-        cand = np.delete(np.arange(g.n), np.append(g._adjacent[lo:hi], i))  # ascending
+        lo, hi = starts[i], starts[i] + g.degrees[i]  # node i's neighbours: flat[lo:hi]
+        cand = np.delete(np.arange(g.n), np.append(flat[lo:hi], i))  # ascending
         dists = np.linalg.norm(g.features[cand] - g.features[i], axis=1)
         order = np.lexsort((cand, dists))  # distance first, node id on ties
-        flat[starts[i] + hi - lo:starts[i + 1]] = cand[order[: d - (hi - lo)]]
+        flat[hi:starts[i + 1]] = cand[order[: starts[i + 1] - hi]]
     return flat, starts
 
 

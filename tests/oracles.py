@@ -8,8 +8,9 @@ independent of the vectorised package code it checks:
 - `graph_laplacian`: the classical dense L = D - A;
 - `read_laplacian_coo`: a dense matrix back from a COO export;
 - `one_hop_neighbourhood` and `loop_neighbourhood_with_padding`: one
-  node's neighbours from the CSR adjacency, and its padded neighbourhood
-  with its own distance sort, one node per call;
+  node's neighbours, read from the canonical edge list by a scan of both
+  columns and one sort, and its padded neighbourhood with its own distance
+  sort, one node per call;
 - `loop_to_dense` and `loop_write_laplacian_coo`: block-by-block versions
   of `BlockLaplacian.to_dense` and `write_laplacian_coo`, each diagonal
   block rebuilt as a full d x d matrix;
@@ -183,7 +184,8 @@ def one_hop_neighbourhood(g: Graph, i: int) -> np.ndarray:
     """Ascending ids of the nodes adjacent to i (i itself excluded)."""
     if not 0 <= i < g.n:
         raise ValueError(f"node index {i} out of range [0, {g.n})")
-    return g._adjacent[g._indptr[i]:g._indptr[i + 1]].copy()
+    us, vs = g.edges[:, 0], g.edges[:, 1]
+    return np.sort(np.concatenate([vs[us == i], us[vs == i]]))
 
 
 def loop_neighbourhood_with_padding(g: Graph, features, i: int, d: int) -> np.ndarray:

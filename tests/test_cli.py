@@ -172,16 +172,30 @@ class TestTrain:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    BAD_VALUES = [
+        ("d", "2", "config key d must be int, got '2'"),
+        ("lr", "0.1", "config key lr must be float, got '0.1'"),
+        ("epochs", 2.5, "config key epochs must be int, got 2.5"),
+        ("tied_weights", 1, "config key tied_weights must be bool, got 1"),
+        ("f", True, "config key f must be int, got True"),
+        # the right type, out of range
+        ("hidden", 0, "d, f, layers and hidden must all be >= 1"),
+        ("epochs", 0, "epochs must be >= 1"),
+        ("optimiser", "adagrad", "unknown optimiser 'adagrad'"),
+        ("dropout", 1.0, "dropout must lie in [0, 1)"),
+    ]
+
     @pytest.mark.parametrize(
-        "key, value",
-        [("d", "2"), ("lr", "0.1"), ("epochs", 2.5), ("tied_weights", 1), ("f", True)],
+        "key, value, message", BAD_VALUES, ids=[f"{key}-{value}" for key, value, _ in BAD_VALUES]
     )
-    def test_config_value_of_wrong_type(self, dataset_dir, tmp_path, capsys, key, value):
+    def test_config_value_of_wrong_type(
+        self, dataset_dir, tmp_path, capsys, key, value, message
+    ):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         code = main(["train", "--dataset", dataset_dir, "--config", str(cfg)])
         assert code == 1
-        assert f"config key {key} must be" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_integer_accepted_for_float_key(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -464,17 +478,28 @@ class TestExitCodes:
         assert code == 2
         assert "non-finite feature" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["build-sheaf", "--out", "{tmp}/missing_dir/x.csv"],
-        ["spectrum", "--out", "{tmp}/missing_dir/e.csv"],
-        ["train", "--config", "{tmp}"],
-    ], ids=["build-sheaf-out", "spectrum-out", "train-config-directory"])
-    def test_unusable_file_argument_is_usage_error(self, dataset_dir, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, message", [
+        (["build-sheaf", "--out", "{tmp}/missing_dir/x.csv"], "No such file or directory"),
+        (["spectrum", "--out", "{tmp}/missing_dir/e.csv"], "No such file or directory"),
+        (["train", "--config", "{tmp}"], "Is a directory"),
+        (["train", "--config", "{tmp}/none.json"], "config file not found: {tmp}/none.json"),
+        (["train", "--config", "{tmp}/bad.json"], "config file is not valid JSON: {tmp}/bad.json"),
+        (["train", "--config", "{tmp}/list.json"], "config file must hold a JSON object"),
+    ], ids=[
+        "build-sheaf-out", "spectrum-out", "train-config-directory",
+        "train-config-missing", "train-config-not-json", "train-config-not-an-object",
+    ])
+    def test_unusable_file_argument_is_usage_error(
+        self, dataset_dir, tmp_path, capsys, argv, message
+    ):
+        (tmp_path / "bad.json").write_text("{")
+        (tmp_path / "list.json").write_text("[1]")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         code = main(argv[:1] + ["--dataset", dataset_dir] + argv[1:])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+        assert message.format(tmp=tmp_path) in err
 
     @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "2**128"])
     @pytest.mark.parametrize("argv", [

@@ -256,7 +256,7 @@ def test_sbm_peak_memory_stays_small():
 
 def assert_same_dataset(a, b):
     assert a.name == b.name and a.graph.n == b.graph.n
-    for attr in ("edges", "features", "labels", "degrees", "_adjacent", "_indptr"):
+    for attr in ("edges", "features", "labels", "degrees"):
         x, y = getattr(a.graph, attr), getattr(b.graph, attr)
         assert x.dtype == y.dtype
         assert_array_equal(x, y)
