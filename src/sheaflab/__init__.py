@@ -20,7 +20,6 @@ from .model import (
     build_operator,
     cross_entropy,
     cross_entropy_grad,
-    encode,
     forward,
     init_params,
     train,

@@ -21,7 +21,7 @@ import numpy as np
 from .data import _reprs, _trainable_split, _write_lines, load_dataset, save_dataset, synth_sbm
 from .errors import DataError, GuardError
 from .graph import homophily
-from .laplacian import spectrum
+from .laplacian import check_dense_size, spectrum
 from .model import BASELINE_KINDS, EPOCH_KEYS, SHEAF_KINDS, TrainConfig, build_operator
 from .model import build_sheaf_by_kind, train
 from .sheaf import write_sheaf_csv
@@ -175,6 +175,7 @@ def cmd_spectrum(args) -> int:
     cfg = load_train_config(None, {"d": args.d, "seed": args.seed})  # before any file or build
     with _output_file(args.out):
         ds = load_dataset(args.dataset)
+        check_dense_size(ds.graph.n * cfg.d)  # before the build, which can take far longer
         lap, _, _ = build_operator(ds.graph, args.kind, cfg)
         eigs = spectrum(lap)
         text = _reprs(eigs)

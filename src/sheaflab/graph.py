@@ -78,17 +78,11 @@ def from_edge_list(n: int, raw_edges, features, labels=None) -> Graph:
     return Graph(n=n, edges=edges, features=features, labels=labels)
 
 
-def homophily(g: Graph, labels=None) -> float:
+def homophily(g: Graph) -> float:
     """Fraction of edges whose endpoints carry the same class label."""
-    if labels is None:
-        labels = g.labels
-    if labels is None:
+    if g.labels is None:
         raise ValueError("missing labels")
-    labels = np.asarray(labels)
-    if labels.shape != (g.n,):
-        raise ValueError("labels must cover every node")
     if g.num_edges == 0:
         raise ValueError("empty edge set")
     us, vs = g.edges[:, 0], g.edges[:, 1]
-    return float(np.mean(labels[us] == labels[vs]))
-
+    return float(np.mean(g.labels[us] == g.labels[vs]))

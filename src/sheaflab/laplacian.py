@@ -21,8 +21,8 @@ output entry of node v is thus one dot product of length (deg_v + 1) d,
 within (deg_v + 1) d eps (|L| |x|) of a block-by-block sum (eps the float64
 machine epsilon, |L| and |x| entrywise), and exact where every product and
 sum is, as with integer values. Results are bitwise deterministic on one
-BLAS kernel at any thread count. The plan copies the blocks, so an operator
-must not be mutated after its first `apply`.
+BLAS kernel at any thread count. The plan copies the blocks, so the first
+`apply` makes `diag` and `off` read-only: a later write raises.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class BlockLaplacian:
 
     `diag[v]` is the (v, v) block's diagonal, its only nonzeros. `off[e]` is the
     block at (block-row v, block-column u) for canonical edge (u, v); the
-    (u, v) block is implied as its transpose.
+    (u, v) block is implied as its transpose. Both are read-only from the first `apply` on.
     """
 
     n: int
@@ -67,8 +67,7 @@ class BlockLaplacian:
 
     def to_dense(self) -> np.ndarray:
         """The nd x nd matrix, refused (GuardError) for nd > DENSE_EIG_LIMIT before allocating."""
-        if self.dim > DENSE_EIG_LIMIT:
-            raise GuardError(f"dense size guard: nd={self.dim} exceeds limit {DENSE_EIG_LIMIT}")
+        check_dense_size(self.dim)
         dense = np.zeros((self.dim, self.dim), dtype=np.float64)
         rows, cols, vals = _entries(self)
         dense[rows, cols] = vals
@@ -79,6 +78,12 @@ class BlockLaplacian:
             f"BlockLaplacian(n={self.n}, d={self.d}, m={self.num_edges}, "
             f"normalised={self.normalised})"
         )
+
+
+def check_dense_size(dim: int) -> None:
+    """Refuse (GuardError) an nd x nd dense matrix for nd = `dim` > DENSE_EIG_LIMIT."""
+    if dim > DENSE_EIG_LIMIT:
+        raise GuardError(f"dense size guard: nd={dim} exceeds limit {DENSE_EIG_LIMIT}")
 
 
 def _check_match(s: Sheaf, g: Graph) -> None:
@@ -169,6 +174,8 @@ def apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
     xb = (x[:, None] if vec else x).reshape(lap.n, lap.d, -1)
     if lap._plan is None:
         lap._plan = _row_plan(lap)
+        lap.diag.setflags(write=False)  # the plan holds copies: a later write would go unseen
+        lap.off.setflags(write=False)
     out = np.empty(xb.shape)
     # the largest chunk: at most _CHUNK terms, or one hub row of deg + 1 <= n terms
     gathered = np.empty((max(src.size for _, src, _ in lap._plan),) + xb.shape[1:])

@@ -1,7 +1,7 @@
 """Fixed-sheaf diffusion node classifier with exact reverse-mode gradients.
 
-The network lifts raw node features into stalk space with a linear encoder,
-runs T diffusion layers
+The network lifts each node's raw features x_v into stalk space as the
+row-major d x f block W_in x_v (the linear encoder), runs T diffusion layers
 
     X_{t+1} = X_t - act( L (I_n kron W1_t) X_t W2_t )
 
@@ -23,6 +23,8 @@ the same full-batch loop. Both models look up act and its derivative
 built, and cache that output. At dropout 0 the evaluation forward ending
 one epoch is the next epoch's training forward (same features, same
 weights), so each later epoch runs one forward; with dropout > 0, two.
+Each epoch takes the training loss and its gradient from one masked softmax,
+`cross_entropy_grad`; `cross_entropy` returns that same pass's loss.
 """
 
 from __future__ import annotations
@@ -119,25 +121,14 @@ class ForwardCache:
     krons: dict[int, np.ndarray] = field(default_factory=dict)  # kron(W1, W2^T) by W1 index
 
 
-def encode(features: np.ndarray, w_in: np.ndarray, d: int) -> np.ndarray:
-    """Lift (n, p) features to the (nd, f) stalk state via the linear encoder."""
-    n = features.shape[0]
-    df = w_in.shape[0]
-    if df % d != 0:
-        raise ValueError("encoder row count must be divisible by d")
-    f = df // d
-    z = features @ w_in.T          # (n, d*f)
-    return z.reshape(n * d, f)     # node blocks of d rows, channels as columns
-
-
 def forward(model: DiffusionModel, features: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Logits (n, C) plus the cache for backward(); each pair's K is built once per call."""
     lap, ws = model.lap, model.arrays
     n = features.shape[0]
-    d = ws[1].shape[0]
+    d, f = ws[1].shape[0], ws[2].shape[0]
     if lap.n != n or lap.d != d:
         raise ValueError("Laplacian shape does not match features/weights")
-    x = encode(features, ws[0], d)
+    x = (features @ ws[0].T).reshape(n * d, f)  # the encoder: node blocks of d rows, f columns
     cache = ForwardCache(features=features)
     cache.krons = {k: np.kron(ws[k], ws[k + 1].T) for k in range(1, len(ws) - 1, 2)}
     cache.xs.append(x)
@@ -161,24 +152,28 @@ def _masked(logits: np.ndarray, labels: np.ndarray, mask):
     return mask, logits[mask], lab
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
-    """Mean negative log-softmax of the true class over `mask` nodes."""
-    mask, sub, lab = _masked(logits, labels, mask)
-    shifted = sub - sub.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(-logp[np.arange(mask.size), lab].mean())
+def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray, mask):
+    """(loss, d(loss)/d(logits)) from one masked softmax, its row max, exp and row sum.
 
-
-def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray, mask) -> np.ndarray:
-    """d(loss)/d(logits): (softmax - onehot)/|mask| on masked rows, zero elsewhere."""
+    The loss is the mean negative log-softmax of the true class over `mask` nodes, the
+    gradient (softmax - onehot)/|mask| on masked rows and zero elsewhere.
+    """
     mask, sub, lab = _masked(logits, labels, mask)
+    rows = np.arange(mask.size)
     shifted = sub - sub.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
-    soft = expz / expz.sum(axis=1, keepdims=True)
-    soft[np.arange(mask.size), lab] -= 1.0
+    total = expz.sum(axis=1, keepdims=True)
+    loss = float(-(shifted[rows, lab] - np.log(total[:, 0])).mean())
+    soft = expz / total
+    soft[rows, lab] -= 1.0
     grad = np.zeros_like(logits)
     grad[mask] = soft / mask.size
-    return grad
+    return loss, grad
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask) -> float:
+    """The masked mean negative log-softmax: `cross_entropy_grad`'s loss."""
+    return cross_entropy_grad(logits, labels, mask)[0]
 
 
 def backward(
@@ -309,8 +304,8 @@ class BaselineModel:
     """Two layers H = act(P X W1) then logits P (H W2); `arrays` is the list [W1, W2].
 
     P is the GCN propagation matrix, or the identity when `prop` is None,
-    which makes this the MLP. P X is kept for the last features array, which
-    must not be mutated; every other propagation runs at the class width.
+    which makes this the MLP. P X is reused while the features array is the last one
+    and read-only (a dataset's); every other propagation runs at the class width.
     """
 
     def __init__(self, prop: BlockLaplacian | None, arrays, activation: str):
@@ -323,7 +318,7 @@ class BaselineModel:
 
     def forward(self, features):
         w1, w2 = self.arrays
-        if self._propagated[0] is not features:
+        if features.flags.writeable or self._propagated[0] is not features:
             self._propagated = (features, self._propagate(features))
         hidden = self.act(self._propagated[1] @ w1)
         return self._propagate(hidden @ w2), (self._propagated[1], hidden)
@@ -417,15 +412,15 @@ def train(dataset, kind: str, cfg: TrainConfig, split_index: int = 0, built=None
             logits, cache = evaluated  # same features, same weights: no second forward
         else:
             logits, cache = model.forward(g.features)
-        loss = cross_entropy(logits, labels, split.train)
+        loss, dlogits = cross_entropy_grad(logits, labels, split.train)
         if not loss <= _LOSS_LIMIT * np.log(n_classes):  # also fails NaN; C = 1 gives 0 <= 0
             err = GuardError(f"{kind}: training loss is {loss} at epoch {epoch}")
             err.history = history
             raise err
-        grads = model.backward(cache, cross_entropy_grad(logits, labels, split.train))
+        grads = model.backward(cache, dlogits)
         _step(model.arrays, grads, cfg, moments, epoch)
 
-        del logits, cache, grads, evaluated  # one forward cache alive at a time
+        del logits, cache, dlogits, grads, evaluated  # one forward cache alive at a time
         evaluated = model.forward(g.features)
         eval_logits = evaluated[0]
         masks = (split.train, split.val, split.test)

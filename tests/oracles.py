@@ -17,6 +17,11 @@ independent of the vectorised package code it checks:
 - `addat_apply`: `laplacian.apply` with one matmul of every full d x d
   diagonal block and one multi-dimensional `np.add.at` of whole (d, f)
   blocks per pass;
+- `encode`: the diffusion model's linear encoder, one matrix-vector
+  product W_in x_v per node, where `model.forward` lifts all nodes with one
+  product;
+- `two_pass_cross_entropy`: the masked loss and its gradient each from a
+  masked softmax of its own, where `model.cross_entropy_grad` takes one;
 - `euler_diffusion`: explicit unit-step Euler diffusion (I - L)^steps x0,
   which as many identity-weight diffusion layers reproduce (criterion 09);
 - `sheaf_layer`: one diffusion layer X - act(L (I kron W1) X W2) with one
@@ -265,6 +270,27 @@ def addat_apply(lap: BlockLaplacian, x: np.ndarray) -> np.ndarray:
         np.add.at(out, us, np.matmul(np.transpose(lap.off, (0, 2, 1)), xb[vs]))
     out = out.reshape(lap.dim, -1)
     return out[:, 0] if vec else out
+
+
+def encode(features: np.ndarray, w_in: np.ndarray, d: int) -> np.ndarray:
+    """The (nd, f) stalk state of (n, p) features: node v's d x f block is W_in x_v, row-major."""
+    return np.concatenate([(w_in @ row).reshape(d, -1) for row in features])
+
+
+def two_pass_cross_entropy(logits: np.ndarray, labels: np.ndarray, mask):
+    """(loss, gradient): the full log-softmax of the masked rows, then the softmax again."""
+    mask = np.asarray(mask, dtype=np.int64)
+    sub, lab = logits[mask], np.asarray(labels)[mask]
+    shifted = sub - sub.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(mask.size), lab].mean())
+    shifted = sub - sub.max(axis=1, keepdims=True)
+    expz = np.exp(shifted)
+    soft = expz / expz.sum(axis=1, keepdims=True)
+    soft[np.arange(mask.size), lab] -= 1.0
+    grad = np.zeros_like(logits)
+    grad[mask] = soft / mask.size
+    return loss, grad
 
 
 def euler_diffusion(lap: BlockLaplacian, x0: np.ndarray, steps: int) -> np.ndarray:

@@ -679,6 +679,21 @@ class TestExitCodes:
         else:
             assert not out.exists()
 
+    def test_spectrum_above_the_dense_limit_exits_before_the_build(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        import sheaflab.cli as cli
+
+        monkeypatch.setattr(sl.laplacian, "DENSE_EIG_LIMIT", 79)  # n d = 40 * 2 = 80
+        calls = []
+        monkeypatch.setattr(cli, "build_operator", lambda *a: calls.append(a))
+        out = tmp_path / "eigs.csv"
+        code = main(["spectrum", "--dataset", dataset_dir, "--d", "2", "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 3 and calls == [] and stdout == ""
+        assert err == "numerical guard: dense size guard: nd=80 exceeds limit 79\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--kind", "gcn", "--config", "{cfg}"],
         ["build-sheaf", "--kind", "trivial", "--d", "100000000", "--out", "{tmp}/sheaf.csv"],

@@ -149,7 +149,8 @@ class TestHomophily:
         if g.num_edges == 0:
             return
         perm = rng.permutation(3)  # bijection on class ids
-        assert sl.homophily(g) == sl.homophily(g, perm[g.labels])
+        relabelled = sl.from_edge_list(g.n, g.edges, g.features, perm[g.labels])
+        assert sl.homophily(g) == sl.homophily(relabelled)
 
 
 class TestGraphLaplacian:

@@ -571,6 +571,19 @@ def test_row_plan_is_built_on_first_apply_and_cached(monkeypatch):
     assert built == [lap] and lap._plan is not None
 
 
+def test_first_apply_makes_the_blocks_read_only():
+    # the plan copies the blocks: a later in-place write must raise, not go unseen
+    g = random_graph(np.random.default_rng(11), n=30, edge_prob=0.2)
+    lap = sl.normalise(sl.sheaf_laplacian(sl.trivial_sheaf(g, 2), g))
+    assert lap.diag.flags.writeable and lap.off.flags.writeable
+    x = np.random.default_rng(12).standard_normal((lap.dim, 3))
+    first = sl.apply(lap, x)
+    for name in ("diag", "off"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(lap, name)[...] *= 2.0
+    assert_array_equal(sl.apply(lap, x), first)
+
+
 def _apply_peak(fn, lap, x):
     tracemalloc.start()
     try:

@@ -18,14 +18,21 @@ from sheaflab.model import (
     build_sheaf_by_kind,
     cross_entropy,
     cross_entropy_grad,
-    encode,
     forward,
     gcn_propagation_matrix,
     init_params,
     train,
 )
 from conftest import random_graph
-from oracles import _ACTIVATION_GRADS, _ACTIVATIONS, euler_diffusion, graph_laplacian, sheaf_layer
+from oracles import (
+    _ACTIVATION_GRADS,
+    _ACTIVATIONS,
+    encode,
+    euler_diffusion,
+    graph_laplacian,
+    sheaf_layer,
+    two_pass_cross_entropy,
+)
 
 
 def small_instance(seed, n=6, p=3, d=2, f=2, layers=2, activation="relu", kind="connection"):
@@ -87,13 +94,22 @@ def max_rel_err(analytic, numeric):
     return worst
 
 
+def first_state(feats, w_in, d):
+    """`forward`'s cached first state x_0: the encoder's lift of `feats` by `w_in`."""
+    n, df = feats.shape[0], w_in.shape[0]
+    g = sl.from_edge_list(n, [], feats)
+    lap = sl.sheaf_laplacian(sl.trivial_sheaf(g, d), g)
+    arrays = [w_in, np.eye(d), np.eye(df // d), np.zeros((1, df))]
+    return forward(DiffusionModel(lap, arrays, 1, "relu"), feats)[1].xs[0]
+
+
 class TestEncode:
     def test_zero_encoder(self):
         feats = np.random.default_rng(0).standard_normal((4, 3))
-        assert_allclose(encode(feats, np.zeros((6, 3)), 2), np.zeros((8, 3)))
+        assert_array_equal(first_state(feats, np.zeros((6, 3)), 2), np.zeros((8, 3)))
 
     def test_scalar(self):
-        assert_allclose(encode(np.array([[3.0]]), np.array([[2.0]]), 1), [[6.0]])
+        assert_array_equal(first_state(np.array([[3.0]]), np.array([[2.0]]), 1), [[6.0]])
 
     def test_linear_composition_oracle(self):
         # decoder applied straight after the encoder is the dense product
@@ -101,8 +117,17 @@ class TestEncode:
         feats = rng.standard_normal((5, 4))
         w_in = rng.standard_normal((6, 4))   # d=2, f=3
         w_out = rng.standard_normal((2, 6))
-        z = encode(feats, w_in, 2).reshape(5, 6)
+        z = first_state(feats, w_in, 2).reshape(5, 6)
         assert_allclose(z @ w_out.T, feats @ (w_out @ w_in).T, atol=1e-12)
+
+    @pytest.mark.parametrize("d,f", [(1, 1), (1, 4), (2, 3), (3, 2)])
+    def test_node_blocks_equal_the_per_node_oracle(self, d, f):
+        # integer values make every product exact: a block of f rows and d columns,
+        # or one filled column-major, cannot pass
+        rng = np.random.default_rng(10 * d + f)
+        feats = rng.integers(-3, 4, (7, 4)) * 1.0
+        w_in = rng.integers(-3, 4, (d * f, 4)) * 1.0
+        assert_array_equal(first_state(feats, w_in, d), encode(feats, w_in, d))
 
 
 class TestSheafLayer:
@@ -244,6 +269,28 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="empty mask"):
             cross_entropy(np.zeros((2, 2)), np.array([0, 1]), [])
 
+    @pytest.mark.parametrize("classes", [1, 2, 5])
+    def test_one_pass_equals_the_two_pass_oracle(self, classes):
+        # the loss and the gradient bitwise, NaN where NaN, on rows with huge, infinite
+        # and NaN logits too; the loss is also `cross_entropy`'s
+        rng = np.random.default_rng(classes)
+        special = np.array([0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan, 1e-310])
+        for case in range(200):
+            n = int(rng.integers(1, 12))
+            logits = rng.standard_normal((n, classes)) * 10.0 ** rng.integers(-3, 4)
+            if case % 2:
+                picks = rng.random(logits.shape) < 0.3
+                logits[picks] = rng.choice(special, size=int(picks.sum()))
+            labels = rng.integers(0, classes, n)
+            mask = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=bool(case % 3))
+            with np.errstate(all="ignore"):
+                loss, grad = cross_entropy_grad(logits, labels, mask)
+                want_loss, want_grad = two_pass_cross_entropy(logits, labels, mask)
+                assert np.array_equal(cross_entropy(logits, labels, mask), loss, equal_nan=True)
+            assert np.array_equal(loss, want_loss, equal_nan=True)
+            assert np.signbit(loss) == np.signbit(want_loss)
+            assert np.array_equal(grad, want_grad, equal_nan=True)
+
     @pytest.mark.parametrize("label", [-1, 2], ids=["negative", "C"])
     @pytest.mark.parametrize("fn", [cross_entropy, cross_entropy_grad, sl.accuracy],
                              ids=lambda fn: fn.__name__)
@@ -266,7 +313,7 @@ class TestBackward:
         g, lap, model, feats, labels = small_instance(7, activation=act)
         mask = np.arange(g.n)
         logits, cache = forward(model, feats)
-        grads = backward(model, cache, cross_entropy_grad(logits, labels, mask))
+        grads = backward(model, cache, cross_entropy_grad(logits, labels, mask)[1])
         numeric = numeric_model_grads(model, feats, labels, mask)
         assert max_rel_err(grads, numeric) < 1e-5
 
@@ -276,7 +323,7 @@ class TestBackward:
         g, lap, model, feats, labels = small_instance(16, d=d, f=f, activation="tanh")
         mask = np.arange(g.n)
         logits, cache = forward(model, feats)
-        grads = backward(model, cache, cross_entropy_grad(logits, labels, mask))
+        grads = backward(model, cache, cross_entropy_grad(logits, labels, mask)[1])
         numeric = numeric_model_grads(model, feats, labels, mask)
         assert max_rel_err(grads, numeric) < 1e-5
 
@@ -288,7 +335,7 @@ class TestBackward:
         assert len(arrays) == 4 and model.steps == 3  # W_in, one (W1, W2) pair, W_out
         mask = np.arange(g.n)
         logits, cache = forward(model, feats)
-        grads = backward(model, cache, cross_entropy_grad(logits, labels, mask))
+        grads = backward(model, cache, cross_entropy_grad(logits, labels, mask)[1])
         numeric = numeric_model_grads(model, feats, labels, mask)
         assert max_rel_err(grads, numeric) < 1e-5
 
@@ -298,7 +345,7 @@ class TestBackward:
         dropped = feats * keep / 0.5
         mask = np.arange(g.n)
         logits, cache = model.forward(dropped)
-        grads = model.backward(cache, cross_entropy_grad(logits, labels, mask))
+        grads = model.backward(cache, cross_entropy_grad(logits, labels, mask)[1])
         numeric = numeric_model_grads(model, dropped, labels, mask)
         assert max_rel_err(grads, numeric) < 1e-5
 
@@ -311,7 +358,7 @@ class TestBackward:
         model = BaselineModel(gcn_propagation_matrix(g) if kind == "gcn" else None, ws, act)
         mask = np.arange(g.n)
         logits, cache = model.forward(feats)
-        grads = model.backward(cache, cross_entropy_grad(logits, labels, mask))
+        grads = model.backward(cache, cross_entropy_grad(logits, labels, mask)[1])
         numeric = numeric_model_grads(model, feats, labels, mask)
         assert max_rel_err(grads, numeric) < 1e-5
 
@@ -418,6 +465,20 @@ class TestGcnMlp:
         assert len(calls) == 3  # P X once, P (H W2) per forward
         assert_array_equal(model.forward(x.copy())[0], expected)  # a new object: P X again
         assert len(calls) == 5
+
+    def test_gcn_propagates_a_writable_features_array_every_forward(self):
+        # P X is reused only for a read-only array: one mutated in place is propagated anew
+        rng = np.random.default_rng(6)
+        g = random_graph(rng, n=30, edge_prob=0.2)
+        prop = gcn_propagation_matrix(g)
+        ws = [rng.standard_normal((4, 5)), rng.standard_normal((5, 3))]
+        model = BaselineModel(prop, ws, "tanh")
+        x = np.array(g.features)
+        before = model.forward(x)[0]
+        x *= 3.0
+        after = model.forward(x)[0]
+        assert_array_equal(after, BaselineModel(prop, ws, "tanh").forward(x)[0])
+        assert not np.array_equal(after, before)
 
     @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
     def test_gcn_forward_and_gradients_match_dense_oracle(self, activation):
@@ -641,8 +702,10 @@ class TestTrain:
         # No forward follows the last epoch: the results at the best epoch are read
         # from the history. GCN propagates a features array once: at dropout 0 every
         # forward after the first reuses P X; with dropout every training and
-        # evaluation forward sees a new array
-        counts = {"forward": 0, "apply": 0}
+        # evaluation forward sees a new array. Each epoch takes its loss and gradient
+        # from one masked softmax, and the train, val and test accuracies
+        counts = dict.fromkeys(["forward", "apply", "cross_entropy", "cross_entropy_grad",
+                                "accuracy"], 0)
         for name in counts:
             original = getattr(sl.model, name)
 
@@ -653,7 +716,8 @@ class TestTrain:
             monkeypatch.setattr(sl.model, name, counted)
         cfg = TrainConfig(epochs=5, layers=2, patience=0, dropout=dropout, seed=0)
         train(self._dataset(5), kind, cfg, 0)
-        assert counts == {"forward": forwards, "apply": applies}
+        assert counts == {"forward": forwards, "apply": applies, "cross_entropy": 0,
+                          "cross_entropy_grad": 5, "accuracy": 3 * 5}
 
     @pytest.mark.parametrize("kind", ["connection", "gcn"])
     def test_one_row_plan_per_train(self, monkeypatch, kind):
